@@ -61,8 +61,6 @@ from .minimax import (
     build_f3_banded,
     build_sparse_theta,
     certify_banded_membership,
-    certify_f2_membership,
-    certify_f3_membership,
     certify_sparse_membership,
     flip_bit,
     sample_banded_theta,

@@ -24,28 +24,22 @@ from .diagnostics import (
     gamma2,
     m_star,
     operator_quantities,
-    spectral_norm,
 )
-from .estimators import EstimatorConfig, adaptive_threshold, choose_kappa, taper_estimate, threshold_estimate
+from .estimators import EstimatorConfig
 from .experiments import (
     ExperimentConfig,
     KernelTemplate,
     TRIAL_HEADER,
+    build_prep,
     emit_csv,
+    kernel_for,
+    nu_for,
     run_sweep,
+    simulate_trial,
     summarize,
+    trial_row,
 )
-from .grid_kernel import (
-    CovMatrix,
-    Matern,
-    Periodic,
-    Permuted,
-    PiecewiseConstant,
-    SquaredExponential,
-    build_grid,
-    discretize,
-    fisher_yates_permutation,
-)
+from .grid_kernel import Permuted, PiecewiseConstant, build_grid, discretize
 from .matrixio import dump_matrix
 from .minimax import (
     BandedFamilySpec,
@@ -58,7 +52,9 @@ from .minimax import (
     sample_banded_theta,
     sample_sparse_theta,
 )
-from .sampling import SampleSet, cholesky_psd, draw_paths, sample_cov
+from .sampling import cholesky_psd
+# Unused here; kept bound because benchmarks/bench.py hooks draw_paths in this module.
+from .sampling import draw_paths  # noqa: F401
 from .svgplot import emit_svg
 
 __all__ = ["main"]
@@ -121,10 +117,11 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _env_seed() -> int | None:
+def _resolve_seed(flag_value: int) -> int:
+    """COVLAB_SEED if it is set, else the flag's (or config's) seed."""
     raw = os.environ.get("COVLAB_SEED")
     if raw is None:
-        return None
+        return flag_value
     try:
         seed = int(raw)
     except ValueError:
@@ -132,11 +129,6 @@ def _env_seed() -> int | None:
     if seed < 0:
         raise UsageError(f"COVLAB_SEED must be >= 0, got {seed}")
     return seed
-
-
-def _resolve_seed(flag_value: int) -> int:
-    env = _env_seed()
-    return flag_value if env is None else env
 
 
 def _fmt_value(value) -> str:
@@ -155,43 +147,7 @@ def _print_resolved(pairs) -> None:
         print(f"{key}={_fmt_value(dict(pairs)[key])}")
 
 
-def _fmt_field(value) -> str:
-    if value is None:
-        return "na"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ----------------------------------------------------------- diagnose ----
-
-
-def _diag_kernel(name: str, lam: float, seed: int):
-    if name == "se":
-        return SquaredExponential(lengthscale=lam)
-    if name == "matern":
-        return Matern(lengthscale=lam)
-    if name == "periodic":
-        return Periodic(lengthscale=lam, period=0.4)
-    if name == "permuted":
-        return Permuted(base=SquaredExponential(lengthscale=lam), seed=seed)
-    return PiecewiseConstant(values=np.eye(_PWC_CELLS))
-
-
-def _diag_nu(name: str, source: str | None, d: int) -> NuSequence:
-    if source is None:
-        source = "exp" if name == "matern" else "se"
-    if source == "se":
-        if d != 1:
-            raise UsageError("the closed-form gaussian tail sequence is d=1 only")
-        return NuSequence.se_d1()
-    if source == "exp":
-        return NuSequence.exponential()
-    if name == "matern":
-        return NuSequence.numeric(Matern(lengthscale=1.0), d)
-    if name in ("se", "permuted"):
-        return NuSequence.numeric(SquaredExponential(lengthscale=1.0), d)
-    raise UsageError(f"kernel {name!r} has no radial profile for numeric tails")
 
 
 def cmd_diagnose(args) -> int:
@@ -208,7 +164,12 @@ def cmd_diagnose(args) -> int:
         ("diagnose.seed", seed),
     ])
     grid = build_grid(args.d, args.L)
-    spec = _diag_kernel(args.kernel, args.lam, seed)
+    if args.kernel == "pwc":
+        spec = PiecewiseConstant(values=np.eye(_PWC_CELLS))
+    else:
+        spec = kernel_for(args.kernel, args.lam, KernelTemplate.smoothness, KernelTemplate.period)
+        if args.kernel == "permuted":
+            spec = Permuted(base=spec, seed=seed)
     C = discretize(spec, grid)
     quant = operator_quantities(C)
     qs = {1.0}
@@ -221,7 +182,7 @@ def cmd_diagnose(args) -> int:
         g2, g2_se = gamma2(factor, grid, args.mc_samples, seed)
     ms = es = None
     if args.N is not None:
-        nu = _diag_nu(args.kernel, args.nu, args.d)
+        nu = nu_for(args.kernel, args.nu or "default", args.d, KernelTemplate.smoothness)
         ms = m_star(nu, args.N, args.d)
         es = eps_star(nu, args.N, args.d)
     report = DiagnosticReport(
@@ -241,9 +202,7 @@ def _merged_sweep_config(args) -> dict:
     missing = [k for k, v in merged.items() if v is None]
     if missing:
         raise UsageError(f"config {args.config} is missing required keys: {missing}")
-    env = _env_seed()
-    if env is not None:
-        merged["sweep.base_seed"] = env
+    merged["sweep.base_seed"] = _resolve_seed(merged["sweep.base_seed"])
     return merged
 
 
@@ -433,57 +392,18 @@ def cmd_estimate(args) -> int:
         ("estimate.seed", seed),
         ("estimate.dump_matrices", args.dump_matrices or "na"),
     ])
-    template = KernelTemplate(name=args.kernel)
-    grid = build_grid(args.d, args.L)
-    # Single-trial pipeline with an explicit N (no sample-count rule).
-    from .experiments import _kernel_for, _nu_for
-
-    C = discretize(_kernel_for(template, args.lam), grid)
-    factor = cholesky_psd(C)
-    norm = spectral_norm(C.entries, tol=1e-9)
-    kappa = choose_kappa(_nu_for(template, args.d), args.N, args.d, args.lam)
-    base = draw_paths(factor, args.N, seed)
-    if args.kernel == "permuted":
-        perm_seed = int(
-            np.random.SeedSequence((seed, 1)).generate_state(1, np.uint64)[0]
-        )
-        perm = fisher_yates_permutation(grid.n, perm_seed)
-        truth = CovMatrix(entries=C.entries[np.ix_(perm, perm)], grid_h=C.grid_h)
-        S = SampleSet(paths=base.paths[:, perm], seed=seed, grid_h=grid.h)
-    else:
-        truth, S = C, base
-
-    Chat = sample_cov(S)
-    err_sample = spectral_norm(Chat.entries - truth.entries, tol=1e-9) / norm
-    err_taper = err_thresh = None
-    rho_hat = None
-    tapered = thresholded = None
-    if args.estimator in ("taper", "all"):
-        tapered = taper_estimate(Chat, kappa, grid)
-        err_taper = spectral_norm(tapered.entries - truth.entries, tol=1e-9) / norm
-    if args.estimator in ("threshold", "all"):
-        rho_hat = adaptive_threshold(S, EstimatorConfig())
-        # A negative signed-sup mean keeps every entry; same as level zero.
-        thresholded = threshold_estimate(Chat, max(rho_hat, 0.0))
-        err_thresh = spectral_norm(thresholded.entries - truth.entries, tol=1e-9) / norm
-
+    prep = build_prep(KernelTemplate(name=args.kernel), args.lam, args.L, args.d, args.N, tol=1e-9)
+    shuffle_seed = int(np.random.SeedSequence((seed, 1)).generate_state(1, np.uint64)[0])
+    estimators = ("taper", "threshold") if args.estimator == "all" else (args.estimator,)
+    record, matrices = simulate_trial(prep, seed, shuffle_seed, EstimatorConfig().c0, estimators)
     print(TRIAL_HEADER)
-    row = [
-        args.kernel, _fmt_field(args.lam), args.d, args.L, args.N, 0, seed,
-        _fmt_field(kappa), _fmt_field(rho_hat), _fmt_field(err_sample),
-        _fmt_field(err_taper), _fmt_field(err_thresh),
-    ]
-    print(",".join(str(v) for v in row))
+    print(",".join(trial_row(record)))
 
     if args.dump_matrices:
         dump_dir = Path(args.dump_matrices)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        dump_matrix(truth.entries, dump_dir / "truth.covm")
-        dump_matrix(Chat.entries, dump_dir / "sample.covm")
-        if tapered is not None:
-            dump_matrix(tapered.entries, dump_dir / "taper.covm")
-        if thresholded is not None:
-            dump_matrix(thresholded.entries, dump_dir / "threshold.covm")
+        for name, matrix in matrices.items():
+            dump_matrix(matrix.entries, dump_dir / f"{name}.covm")
     return 0
 
 

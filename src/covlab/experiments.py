@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +27,6 @@ from .grid_kernel import (
     KernelSpec,
     Matern,
     Periodic,
-    Permuted,
     SquaredExponential,
     build_grid,
     discretize,
@@ -44,9 +44,15 @@ __all__ = [
     "SUMMARY_HEADER",
     "n_for_lambda",
     "trial_seed",
+    "kernel_for",
+    "nu_for",
+    "Prep",
+    "build_prep",
+    "simulate_trial",
     "run_trial",
     "run_sweep",
     "summarize",
+    "trial_row",
     "emit_csv",
     "load_trials",
     "load_summaries",
@@ -136,10 +142,10 @@ class TrialRecord:
     trial: int
     seed: int
     kappa: float
-    rho_hat: float
+    rho_hat: Optional[float]  # None where the estimator did not run
     err_sample: float
-    err_taper: float
-    err_thresh: float
+    err_taper: Optional[float]
+    err_thresh: Optional[float]
     r_eff: float  # of the true discretized kernel; not persisted to CSV
 
 
@@ -185,70 +191,111 @@ def trial_seed(cfg: ExperimentConfig, kernel_index: int, lambda_index: int, tria
     return draw, shuffle
 
 
-def _kernel_for(template: KernelTemplate, lam: float) -> KernelSpec:
-    """Concrete kernel at the given lengthscale; the permuted base only."""
-    if template.name == "se" or template.name == "permuted":
+def kernel_for(name: str, lam: float, smoothness: float, period: float) -> KernelSpec:
+    """Concrete kernel at the given lengthscale; 'permuted' gives its unshuffled base."""
+    if name in ("se", "permuted"):
         return SquaredExponential(lengthscale=lam)
-    if template.name == "matern":
-        return Matern(lengthscale=lam, smoothness=template.smoothness)
-    return Periodic(lengthscale=lam, period=template.period)
+    if name == "matern":
+        return Matern(lengthscale=lam, smoothness=smoothness)
+    return Periodic(lengthscale=lam, period=period)
 
 
-def _nu_for(template: KernelTemplate, d: int) -> NuSequence:
-    source = template.nu_source
+def nu_for(name: str, source: str, d: int, smoothness: float) -> NuSequence:
+    """Tail sequence of a kernel; 'default' is 'exp' for matern and 'se' otherwise."""
     if source == "default":
-        source = "exp" if template.name == "matern" else "se"
+        source = "exp" if name == "matern" else "se"
     if source == "se":
         if d != 1:
             raise UsageError("the closed-form gaussian tail sequence is d=1 only")
         return NuSequence.se_d1()
     if source == "exp":
         return NuSequence.exponential()
-    if template.name == "matern":
-        return NuSequence.numeric(Matern(lengthscale=1.0, smoothness=template.smoothness), d)
-    if template.name == "periodic":
-        raise UsageError("the periodic kernel has no radial tail profile; use 'se' or 'exp'")
-    return NuSequence.numeric(SquaredExponential(lengthscale=1.0), d)
+    if name not in ("se", "matern", "permuted"):
+        raise UsageError(f"kernel {name!r} has no radial profile for numeric tails; use 'se' or 'exp'")
+    return NuSequence.numeric(kernel_for(name, 1.0, smoothness, KernelTemplate.period), d)
 
 
 @dataclass(frozen=True)
-class _Prep:
+class Prep:
     """Shared per-(kernel, lengthscale) state: truth, factor, taper radius."""
 
+    kernel: str
+    lam: float
     grid: Grid
     C: CovMatrix
     factor: object
-    norm: float
+    norm: float  # matrix norm of the truth, the divisor of every relative error
     r_eff: float
     kappa: float
     N: int
+    tol: float  # residual tolerance of every spectral norm
 
 
-def _build_prep(template: KernelTemplate, lam: float, cfg: ExperimentConfig) -> _Prep:
-    grid = build_grid(cfg.d, cfg.L)
-    C = discretize(_kernel_for(template, lam), grid)
+def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol: float) -> Prep:
+    grid = build_grid(d, L)
+    C = discretize(kernel_for(template.name, lam, template.smoothness, template.period), grid)
     factor = cholesky_psd(C)
-    quant = operator_quantities(C, tol=cfg.norm_tol)
-    N = n_for_lambda(cfg, lam)
-    kappa = choose_kappa(_nu_for(template, cfg.d), N, cfg.d, lam)
-    return _Prep(
-        grid=grid, C=C, factor=factor, norm=quant.op_norm / C.grid_h,
-        r_eff=quant.r_eff, kappa=kappa, N=N,
+    quant = operator_quantities(C, tol=tol)
+    kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
+    return Prep(
+        kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,
+        norm=quant.op_norm / C.grid_h, r_eff=quant.r_eff, kappa=kappa, N=N, tol=tol,
     )
 
 
-def _template_index(cfg: ExperimentConfig, template: KernelTemplate) -> int:
-    for i, t in enumerate(cfg.kernels):
-        if t == template:
-            return i
-    raise UsageError(f"kernel template {template.name!r} is not part of the config")
+def simulate_trial(
+    prep: Prep,
+    draw_seed: int,
+    shuffle_seed: int,
+    c0: float,
+    estimators: Sequence[str] = ("taper", "threshold"),
+    trial: int = 0,
+) -> tuple:
+    """One seeded draw scored by the sample estimate and the chosen estimators.
 
+    Returns (record, matrices): matrices maps 'truth', 'sample' and each
+    estimator run to its CovMatrix; the record's fields of estimators not run
+    are None.  The permuted kernel shuffles path coordinates of the base draw,
+    which has the law of factoring the shuffled matrix directly.
+    """
+    base = draw_paths(prep.factor, prep.N, draw_seed)
+    if prep.kernel == "permuted":
+        perm = fisher_yates_permutation(prep.grid.n, shuffle_seed)
+        truth = CovMatrix(
+            entries=prep.C.entries[np.ix_(perm, perm)], grid_h=prep.C.grid_h
+        )
+        S = SampleSet(paths=base.paths[:, perm], seed=draw_seed, grid_h=prep.grid.h)
+    else:
+        truth, S = prep.C, base
 
-def _lambda_index(cfg: ExperimentConfig, lam: float) -> int:
-    for i, v in enumerate(cfg.lambda_grid):
-        if v == lam:
-            return i
-    raise UsageError(f"lengthscale {lam!r} is not on the config grid")
+    Chat = sample_cov(S)
+    matrices = {"truth": truth, "sample": Chat}
+    rho_hat = None
+    if "taper" in estimators:
+        matrices["taper"] = taper_estimate(Chat, prep.kappa, prep.grid)
+    if "threshold" in estimators:
+        # The plugin sup-kernel value is the largest sample variance, read
+        # off the Gram built above instead of a second one.
+        k_inf = float(np.max(np.diag(Chat.entries)))
+        rho_hat = adaptive_threshold(
+            S, EstimatorConfig(c0=c0, k_inf_mode="known", k_inf_value=k_inf)
+        )
+        # The signed-sup mean can go negative at tiny N; keep-if |entry| >=
+        # level then keeps every entry, so the estimate coincides with level
+        # zero.  The record still carries the raw level.
+        matrices["threshold"] = threshold_estimate(Chat, max(rho_hat, 0.0))
+
+    err = {
+        name: spectral_norm(est.entries - truth.entries, tol=prep.tol) / prep.norm
+        for name, est in matrices.items() if name != "truth"
+    }
+    record = TrialRecord(
+        kernel=prep.kernel, lam=prep.lam, d=prep.grid.d, L=prep.grid.L, N=prep.N,
+        trial=trial, seed=draw_seed, kappa=prep.kappa, rho_hat=rho_hat,
+        err_sample=err["sample"], err_taper=err.get("taper"),
+        err_thresh=err.get("threshold"), r_eff=prep.r_eff,
+    )
+    return record, matrices
 
 
 def run_trial(
@@ -256,53 +303,22 @@ def run_trial(
     lam: float,
     cfg: ExperimentConfig,
     trial_index: int,
-    prep: Optional[_Prep] = None,
+    prep: Optional[Prep] = None,
 ) -> TrialRecord:
-    """One seeded trial: draw, estimate three ways, record relative errors.
-
-    The permuted kernel shuffles path coordinates of the base draw with the
-    trial's own permutation; the law matches factoring the shuffled matrix
-    directly, and the base factorization is shared across trials.
-    """
+    """One trial of the sweep grid, seeded by its grid position."""
     if trial_index < 0:
         raise UsageError(f"trial index must be >= 0, got {trial_index}")
-    k_idx = _template_index(cfg, template)
-    l_idx = _lambda_index(cfg, lam)
+    if template not in cfg.kernels:
+        raise UsageError(f"kernel template {template.name!r} is not part of the config")
+    if lam not in cfg.lambda_grid:
+        raise UsageError(f"lengthscale {lam!r} is not on the config grid")
     if prep is None:
-        prep = _build_prep(template, lam, cfg)
-    draw_seed, shuffle_seed = trial_seed(cfg, k_idx, l_idx, trial_index)
-    grid, N = prep.grid, prep.N
-
-    base = draw_paths(prep.factor, N, draw_seed)
-    if template.name == "permuted":
-        perm = fisher_yates_permutation(grid.n, shuffle_seed)
-        truth = CovMatrix(
-            entries=prep.C.entries[np.ix_(perm, perm)], grid_h=prep.C.grid_h
-        )
-        S = SampleSet(paths=base.paths[:, perm], seed=draw_seed, grid_h=grid.h)
-    else:
-        truth = prep.C
-        S = base
-
-    Chat = sample_cov(S)
-    rho_hat = adaptive_threshold(
-        S, EstimatorConfig(c0=cfg.c0, k_inf_mode="plugin_max_diag")
+        prep = build_prep(template, lam, cfg.L, cfg.d, n_for_lambda(cfg, lam), cfg.norm_tol)
+    draw_seed, shuffle_seed = trial_seed(
+        cfg, cfg.kernels.index(template), cfg.lambda_grid.index(lam), trial_index
     )
-    tapered = taper_estimate(Chat, prep.kappa, grid)
-    # The signed-sup mean can go negative at tiny N; keep-if |entry| >= level
-    # then keeps every entry, so the estimate coincides with level zero.  The
-    # record still carries the raw level.
-    thresholded = threshold_estimate(Chat, max(rho_hat, 0.0))
-
-    def rel(est: CovMatrix) -> float:
-        return spectral_norm(est.entries - truth.entries, tol=cfg.norm_tol) / prep.norm
-
-    return TrialRecord(
-        kernel=template.name, lam=lam, d=cfg.d, L=cfg.L, N=N, trial=trial_index,
-        seed=draw_seed, kappa=prep.kappa, rho_hat=rho_hat,
-        err_sample=rel(Chat), err_taper=rel(tapered), err_thresh=rel(thresholded),
-        r_eff=prep.r_eff,
-    )
+    record, _ = simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0, trial=trial_index)
+    return record
 
 
 def run_sweep(
@@ -312,17 +328,18 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full kernels x lengthscales x trials grid.
 
-    Records come back in canonical (kernel, lengthscale, trial) grid order
-    no matter how many worker threads execute them.  A failed trial is
-    reported in the failures trailer and does not stop the rest.
+    Records and progress lines come in canonical (kernel, lengthscale, trial)
+    order for any thread count; a trial's progress line follows as soon as it
+    and every earlier trial are done.  A failed trial is reported in the
+    failures trailer and does not stop the rest.
     """
     if threads < 1:
         raise UsageError(f"threads must be >= 1, got {threads}")
-    preps = {}
-    for ki, template in enumerate(cfg.kernels):
-        for li, lam in enumerate(cfg.lambda_grid):
-            preps[(ki, li)] = _build_prep(template, lam, cfg)
-
+    preps = {
+        (ki, li): build_prep(template, lam, cfg.L, cfg.d, n_for_lambda(cfg, lam), cfg.norm_tol)
+        for ki, template in enumerate(cfg.kernels)
+        for li, lam in enumerate(cfg.lambda_grid)
+    }
     tasks = [
         (ki, li, trial, template, lam)
         for ki, template in enumerate(cfg.kernels)
@@ -332,38 +349,28 @@ def run_sweep(
 
     def _one(task):
         ki, li, trial, template, lam = task
-        return run_trial(template, lam, cfg, trial, prep=preps[(ki, li)])
-
-    outcomes = {}
-    if threads == 1:
-        for task in tasks:
-            try:
-                outcomes[task[:3]] = _one(task)
-            except Exception as exc:  # noqa: BLE001 - trailer reports, sweep continues
-                outcomes[task[:3]] = exc
-            if progress is not None:
-                progress(_progress_line(task, outcomes[task[:3]]))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {task[:3]: pool.submit(_one, task) for task in tasks}
-        for task in tasks:
-            fut = futures[task[:3]]
-            exc = fut.exception()
-            outcomes[task[:3]] = fut.result() if exc is None else exc
-            if progress is not None:
-                progress(_progress_line(task, outcomes[task[:3]]))
+        try:
+            return run_trial(template, lam, cfg, trial, prep=preps[(ki, li)])
+        except Exception as exc:  # noqa: BLE001 - trailer reports, sweep continues
+            return exc
 
     records = []
     failures = []
-    for task in tasks:
-        out = outcomes[task[:3]]
-        if isinstance(out, TrialRecord):
-            records.append(out)
-        else:
-            _, _, trial, template, lam = task
-            failures.append(
-                f"kernel={template.name} lambda={lam!r} trial={trial}: {out}"
-            )
+    # One thread runs the trials on the calling thread: a pool worker would
+    # hold BLAS and malloc buffers of its own.
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with pool:
+        outcomes = pool.map(_one, tasks) if threads > 1 else map(_one, tasks)
+        for task, out in zip(tasks, outcomes):
+            if progress is not None:
+                progress(_progress_line(task, out))
+            if isinstance(out, TrialRecord):
+                records.append(out)
+            else:
+                _, _, trial, template, lam = task
+                failures.append(
+                    f"kernel={template.name} lambda={lam!r} trial={trial}: {out}"
+                )
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
@@ -419,6 +426,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def trial_row(rec: TrialRecord) -> list:
+    """A record's trials-CSV fields as strings; missing values read 'na'."""
+    return [_fmt(v) for v in (
+        rec.kernel, rec.lam, rec.d, rec.L, rec.N, rec.trial, rec.seed,
+        rec.kappa, rec.rho_hat, rec.err_sample, rec.err_taper, rec.err_thresh,
+    )]
+
+
 def emit_csv(rows: Sequence, path, kind: Optional[str] = None) -> None:
     """Write trial or summary rows in canonical order, shortest decimals.
 
@@ -436,11 +451,7 @@ def emit_csv(rows: Sequence, path, kind: Optional[str] = None) -> None:
         if kind == "trials":
             writer.writerow(TRIAL_HEADER.split(","))
             for rec in sorted(rows, key=lambda r: (r.kernel, r.lam, r.trial)):
-                writer.writerow([
-                    rec.kernel, _fmt(rec.lam), rec.d, rec.L, rec.N, rec.trial,
-                    rec.seed, _fmt(rec.kappa), _fmt(rec.rho_hat),
-                    _fmt(rec.err_sample), _fmt(rec.err_taper), _fmt(rec.err_thresh),
-                ])
+                writer.writerow(trial_row(rec))
         else:
             writer.writerow(SUMMARY_HEADER.split(","))
             for row in sorted(rows, key=lambda r: (r.kernel, r.lam)):

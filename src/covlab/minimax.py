@@ -32,8 +32,6 @@ __all__ = [
     "build_f2_banded",
     "build_f3_banded",
     "build_sparse_theta",
-    "certify_f2_membership",
-    "certify_f3_membership",
     "certify_banded_membership",
     "certify_sparse_membership",
     "assouad_terms",
@@ -358,18 +356,6 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
             bound = _TAIL_CONST * spec.nu.nu(m) * op_norm
             checks.append(_check(f"tail_bound_m{m}", worst, bound, "le"))
     return CertificateReport(family=spec.kind, checks=tuple(checks))
-
-
-def certify_f2_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> CertificateReport:
-    if spec.kind != "f2":
-        raise UsageError(f"spec is for kind {spec.kind!r}, expected f2")
-    return certify_banded_membership(spec, theta)
-
-
-def certify_f3_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> CertificateReport:
-    if spec.kind != "f3":
-        raise UsageError(f"spec is for kind {spec.kind!r}, expected f3")
-    return certify_banded_membership(spec, theta)
 
 
 # ------------------------------------------------------- sparse family ----

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, resolved-config echo, file outputs."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,32 @@ class TestEstimate:
         _, out_a, _ = _run(capsys, argv)
         _, out_b, _ = _run(capsys, argv)
         assert out_a == out_b
+
+
+class TestEstimateMatchesSweep:
+    @pytest.mark.parametrize("kernel", ["se", "matern", "periodic"])
+    def test_estimate_reproduces_a_sweep_row(self, capsys, tmp_path, monkeypatch, kernel):
+        # estimate and sweep share one trial: a sweep row's seed, N, lambda
+        # and L give the same taper radius and threshold level, and errors
+        # within the sweep's norm tolerance (estimate's norm is tighter).
+        monkeypatch.delenv("COVLAB_SEED", raising=False)
+        cfg = _write_config(tmp_path, **{"kernel.list": kernel, "sweep.lambda_grid": "0.05,0.2",
+                                         "sweep.L": "48"})
+        code, _, _ = _run(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0
+        with open(tmp_path / "out" / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in (rows[0], rows[-1]):
+            code, out, _ = _run(capsys, [
+                "estimate", "--kernel", kernel, "--lambda", row["lambda"], "--L", row["L"],
+                "--N", row["N"], "--seed", row["seed"], "--estimator", "all",
+            ])
+            assert code == 0
+            est = dict(zip(TRIAL_HEADER.split(","), out.strip().splitlines()[-1].split(",")))
+            assert est["kappa"] == row["kappa"]
+            assert est["rho_hat"] == row["rho_hat"]
+            for key in ("err_sample", "err_taper", "err_thresh"):
+                assert float(est[key]) == pytest.approx(float(row[key]), rel=1e-6, abs=0)
 
 
 class TestSweepCommand:

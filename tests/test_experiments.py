@@ -1,6 +1,7 @@
 """Sweep harness: seeding, trial runs, aggregation, and CSV round trips."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +154,32 @@ class TestRunSweep:
         seq = run_sweep(cfg, threads=1)
         par = run_sweep(cfg, threads=4)
         assert seq.records == par.records
+
+    def test_threaded_progress_streams_before_the_pool_drains(self, monkeypatch):
+        # The last trial waits for a progress line before it finishes.  A
+        # sweep that held progress back until every trial was done would make
+        # it time out (10 s) instead of hanging, and the test would fail.
+        cfg = _cfg(trials=4)
+        streamed = threading.Event()
+        seen = []
+        real = expmod.run_trial
+
+        def gated(template, lam, cfg_, trial, prep=None):
+            if trial == cfg.trials - 1:
+                seen.append(streamed.wait(timeout=10.0))
+            return real(template, lam, cfg_, trial, prep=prep)
+
+        monkeypatch.setattr(expmod, "run_trial", gated)
+        lines = []
+
+        def progress(line):
+            lines.append(line)
+            streamed.set()
+
+        result = run_sweep(cfg, threads=2, progress=progress)
+        assert result.ok and len(result.records) == 4
+        assert seen == [True]
+        assert [line.split()[3] for line in lines] == [f"trial={t}" for t in range(4)]
 
     def test_failures_are_collected_not_fatal(self, monkeypatch):
         cfg = _cfg(trials=3)
