@@ -175,7 +175,7 @@ def cmd_diagnose(args) -> int:
     qs = {1.0}
     if args.q is not None:
         qs.add(args.q)
-    gammas = {q: gamma1(C, q) for q in sorted(qs)}
+    gammas = {q: gamma1(C, q, op_norm=quant.op_norm) for q in sorted(qs)}
     g2 = g2_se = None
     if args.mc_samples > 0:
         factor = cholesky_psd(C)

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.special
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericError, UsageError
 from .grid_kernel import (
@@ -45,79 +46,9 @@ __all__ = [
 
 _DENSE_CUTOFF = 256  # below this, a direct eigensolve beats iteration
 _LANCZOS_SEED = 0x5EED_0C0B
-_MAX_KRYLOV = 512
 
 
 # -------------------------------------------------------- spectral norm ----
-
-
-def _ritz_extremes(alphas: list, betas: list, beta_next: float):
-    """Extreme Ritz values of the current tridiagonal and their residuals."""
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas), select="a"
-    )
-    lo, hi = 0, len(vals) - 1
-    resid_lo = abs(beta_next) * abs(vecs[-1, lo])
-    resid_hi = abs(beta_next) * abs(vecs[-1, hi])
-    return float(vals[lo]), float(vals[hi]), resid_lo, resid_hi
-
-
-def _lanczos_max_abs(A: np.ndarray, tol: float, seed: int) -> float:
-    """Largest |eigenvalue| of symmetric A by Lanczos with full reorthogonalization.
-
-    The start vector comes from a counter-based generator keyed by
-    (seed, n), so repeated calls are bit-reproducible.  If the Krylov space
-    fills the whole of R^n the tridiagonal spectrum is exact.  A clustered
-    extreme eigenvalue makes the residual plateau; that stall (no halving
-    over the trailing 100 steps), breakdown, or hitting the basis cap all
-    divert to a dense eigensolve, so the tolerance contract always holds.
-    """
-    n = A.shape[0]
-    scale = float(np.max(np.abs(A)))
-    if scale == 0.0:
-        return 0.0
-    # Past ~n/16 steps the accumulated matvec and reorthogonalization work
-    # costs more than a dense solve, so give up early and solve densely.
-    k_cap = min(n, _MAX_KRYLOV, max(64, n // 16))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, n))))
-    Q = np.empty((k_cap, n), dtype=np.float64)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    Q[0] = v
-    alphas: list = []
-    betas: list = []
-    residuals: list = []
-    k = 0
-    while True:
-        w = A @ Q[k]
-        alpha = float(Q[k] @ w)
-        alphas.append(alpha)
-        w -= alpha * Q[k]
-        if k > 0:
-            w -= betas[-1] * Q[k - 1]
-        basis = Q[: k + 1]
-        w -= basis.T @ (basis @ w)  # full reorthogonalization,
-        w -= basis.T @ (basis @ w)  # twice is enough
-        beta = float(np.linalg.norm(w))
-        at_cap = k + 1 == k_cap
-        broke_down = beta <= 1e-14 * scale
-        if at_cap or broke_down or (k + 1) % 5 == 0:
-            t_lo, t_hi, r_lo, r_hi = _ritz_extremes(alphas, betas, beta)
-            theta = max(abs(t_lo), abs(t_hi))
-            worst = max(r_lo, r_hi)
-            if worst <= tol * max(theta, 1e-300):
-                return theta
-            if k_cap == n and at_cap:
-                return theta  # full Krylov space: exact by construction
-            residuals.append(worst)
-            if len(residuals) >= 21 and residuals[-1] > 0.5 * residuals[-21]:
-                break  # plateaued: a cluster at the extreme; solve densely
-        if at_cap or broke_down:
-            break
-        betas.append(beta)
-        Q[k + 1] = w / beta
-        k += 1
-    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 def spectral_norm(
@@ -127,7 +58,18 @@ def spectral_norm(
     method: str = "auto",
     seed: int = _LANCZOS_SEED,
 ) -> float:
-    """Matrix spectral norm (largest |eigenvalue|) of a symmetric matrix."""
+    """Matrix spectral norm (largest |eigenvalue|) of a symmetric matrix.
+
+    The iterative path is ARPACK's implicitly restarted Lanczos (``eigsh``,
+    k=1, largest magnitude) at relative residual ``tol``, started from the
+    ones vector plus a small perturbation drawn from a counter-based
+    generator keyed by (seed, n), so repeated calls are bit-reproducible.
+    The ones direction starts the iteration close to the top eigenvector of
+    a smooth covariance; the perturbation keeps it from missing a top
+    eigenvector orthogonal to ones.  It solves densely only if ARPACK does
+    not converge within max(10, n/160) restarts, so the tolerance contract
+    always holds.
+    """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise UsageError(f"spectral_norm needs a square matrix, got {A.shape}")
@@ -144,12 +86,25 @@ def spectral_norm(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
         )
     n = A.shape[0]
-    if method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
+    if n == 1 or method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     # The iteration assumes exact symmetry; fold in any last-bit asymmetry.
     if asym != 0.0:
         A = (A + A.T) / 2.0
-    return _lanczos_max_abs(A, tol, seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, n))))
+    v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
+    # A tightly clustered top of the spectrum can keep ARPACK restarting for
+    # thousands of matvecs, where a dense solve costs a few hundred at
+    # n=1250.  A restart costs 10 to 19 matvecs at scipy's default ncv=20,
+    # so the cap allows about max(100, n/16) matvecs before falling back.
+    try:
+        top = eigsh(
+            A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // 160),
+            return_eigenvectors=False,
+        )
+    except ArpackNoConvergence:
+        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    return float(abs(top[0]))
 
 
 # ------------------------------------------------- operator quantities ----
@@ -175,21 +130,26 @@ def operator_quantities(C: CovMatrix, *, tol: float = 1e-9) -> OperatorQuantitie
     )
 
 
-def gamma1(C: CovMatrix, q: float, *, tol: float = 1e-9) -> float:
+def gamma1(
+    C: CovMatrix, q: float, *, tol: float = 1e-9, op_norm: Optional[float] = None
+) -> float:
     """Row L^q-sparsity functional |k|_q^q |k|_inf^(1-q) / |C|.
 
     |k|_q^q is the largest grid-weighted row sum of |entries|^q (a Riemann
-    sum of the defining integral); scale-invariant in C.
+    sum of the defining integral); scale-invariant in C.  A caller that
+    already holds the operator norm |C| (``operator_quantities(C).op_norm``)
+    passes it as ``op_norm`` to skip recomputing it.
     """
     if not (0.0 < q <= 1.0):
         raise UsageError(f"q must lie in (0, 1], got {q}")
     abs_e = np.abs(C.entries)
     k_inf = float(np.max(abs_e))
-    norm_m = spectral_norm(C.entries, tol)
-    if norm_m == 0.0:
+    if op_norm is None:
+        op_norm = C.grid_h * spectral_norm(C.entries, tol)
+    if op_norm == 0.0:
         raise UsageError("zero operator has no sparsity functional")
     row_q = float(np.max(np.sum(abs_e**q, axis=1))) * C.grid_h
-    return row_q * k_inf ** (1.0 - q) / (C.grid_h * norm_m)
+    return row_q * k_inf ** (1.0 - q) / op_norm
 
 
 def gamma2(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covlab.diagnostics
 from covlab import load_matrix, load_summaries, load_trials
 from covlab.cli import main, parse_config_file
 from covlab.experiments import TRIAL_HEADER
@@ -52,6 +53,21 @@ class TestDiagnose:
         assert "eps_star=" in out
         assert "gamma1.q0.5=" in out
         assert "gamma2=" in out and "gamma2_se=" in out
+
+    def test_one_spectral_norm_per_report(self, capsys, monkeypatch):
+        calls = []
+        norm = covlab.diagnostics.spectral_norm
+
+        def counted(A, *args, **kwargs):
+            calls.append(A.shape)
+            return norm(A, *args, **kwargs)
+
+        monkeypatch.setattr(covlab.diagnostics, "spectral_norm", counted)
+        code, _, _ = _run(capsys, [
+            "diagnose", "--kernel", "matern", "--lambda", "0.1", "--L", "64", "--q", "0.5",
+        ])
+        assert code == 0
+        assert calls == [(64, 64)]
 
     def test_pwc_kernel(self, capsys):
         code, out, _ = _run(

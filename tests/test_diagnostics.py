@@ -1,9 +1,13 @@
 """Spectral norms, operator summaries, sparsity functionals, and tail rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+
+import covlab.diagnostics
 
 from covlab import (
     CovMatrix,
@@ -74,6 +78,61 @@ class TestSpectralNorm:
         with pytest.raises(UsageError):
             spectral_norm(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_top_eigenvector_orthogonal_to_ones(self, tol):
+        # A start vector of exact ones has no component along u, so the
+        # iteration would never see the top eigenvalue 5.1 and return 1.1.
+        n = 400
+        u = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+        s = np.ones(n) / math.sqrt(n)
+        A = 5.0 * np.outer(u, u) + np.outer(s, s) + 0.1 * np.eye(n)
+        assert spectral_norm(A, tol=tol, method="lanczos") == pytest.approx(5.1, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "A", [np.array([[-2.5]]), np.array([[1.0, 3.0], [3.0, -1.0]])], ids=["1x1", "2x2"]
+    )
+    def test_tiny_matrices_on_the_iterative_path(self, A):
+        dense = spectral_norm(A, method="dense")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_norm(A, method="lanczos")
+        assert got == pytest.approx(dense, rel=1e-12)
+
+    def test_clustered_top_falls_back_to_dense_within_n_matvecs(self, monkeypatch):
+        # Twenty eigenvalues within 1e-5 of the top: unbounded, ARPACK needs
+        # about 3900 matvecs at tol 1e-9 here, far more than a dense solve.
+        n = 300
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ev = np.concatenate([3.0 * (1 - 1e-5 * np.arange(20) / 20), rng.uniform(-2, 2, n - 20)])
+        A = (Q * ev) @ Q.T
+        A = (A + A.T) / 2.0
+        matvecs = []
+        real_eigsh = covlab.diagnostics.eigsh
+
+        def counting_eigsh(M, **kwargs):
+            def matvec(x):
+                matvecs.append(1)
+                return M @ x
+
+            op = scipy.sparse.linalg.LinearOperator(M.shape, matvec=matvec, dtype=M.dtype)
+            return real_eigsh(op, **kwargs)
+
+        monkeypatch.setattr(covlab.diagnostics, "eigsh", counting_eigsh)
+        got = spectral_norm(A, tol=1e-9, method="lanczos")
+        assert got == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(A)))), rel=1e-9)
+        assert len(matvecs) <= n
+
+    def test_dense_fallback_when_arpack_does_not_converge(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(covlab.diagnostics, "eigsh", no_convergence)
+        A = random_symmetric(np.random.default_rng(5), 300)
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+        assert spectral_norm(A, method="lanczos") == dense
+        assert spectral_norm(A, method="auto") == dense
+
 
 class TestOperatorQuantities:
     def test_identity_matrix(self):
@@ -112,6 +171,12 @@ class TestGamma1:
         # also for a generic PSD matrix, not just kernels
         C = CovMatrix(entries=random_psd(rng, 40, jitter=0.4), grid_h=1 / 40)
         assert gamma1(C, 0.5) >= gamma1(C, 1.0) >= 1.0 - 1e-9
+
+    def test_given_operator_norm_gives_the_same_value(self):
+        C = discretize(SquaredExponential(0.05), build_grid(1, 300))
+        op_norm = operator_quantities(C).op_norm
+        for q in (0.25, 0.5, 1.0):
+            assert gamma1(C, q, op_norm=op_norm) == gamma1(C, q)
 
     def test_rejects_q_outside_unit_interval(self):
         C = CovMatrix(entries=np.eye(4), grid_h=0.25)
