@@ -20,7 +20,6 @@ from .grid_kernel import (
     discretize,
     eval_kernel,
     fisher_yates_permutation,
-    kernel_label,
     lift_matrix_norm_check,
     taper_weight,
     taper_weight_matrix,

@@ -296,18 +296,14 @@ def _minimax_nu() -> NuSequence:
 
 def _aggregate_reports(reports) -> tuple:
     """Fold per-theta certificates into (all_passed, printable lines)."""
-    names = [c.name for c in reports[0].checks]
     lines = [f"family={reports[0].family}", f"samples={len(reports)}"]
     all_ok = True
-    for i, name in enumerate(names):
-        checks = [rep.checks[i] for rep in reports]
-        ok = all(c.passed for c in checks)
-        worst = min(checks, key=lambda c: c.slack)
-        all_ok = all_ok and ok
-        lines.append(f"{name}.pass={'true' if ok else 'false'}")
-        lines.append(f"{name}.measured={worst.measured!r}")
-        lines.append(f"{name}.bound={worst.bound!r}")
-        lines.append(f"{name}.worst_slack={worst.slack!r}")
+    for checks in zip(*(rep.checks for rep in reports)):
+        # The least slack, failures first: a NaN slack never passes, so the
+        # worst check has passed exactly when every check has.
+        worst = min(checks, key=lambda c: (c.passed, c.slack))
+        all_ok = all_ok and worst.passed
+        lines.extend(worst.lines("worst_slack"))
     return all_ok, lines
 
 
@@ -478,6 +474,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"covlab: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("covlab: out of memory", file=sys.stderr)
         return 1
 
 

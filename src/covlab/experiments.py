@@ -96,9 +96,11 @@ class ExperimentConfig:
     """A full sweep: kernels x lengthscales x trials.
 
     The sample count follows N = ceil(n_mult * ln(lambda^-d)) per
-    lengthscale (natural log).  norm_tol is forwarded to the spectral norm;
-    error in the norm value is quadratic in this residual tolerance, so the
-    default leaves ~12 accurate digits.
+    lengthscale (natural log).  norm_tol is forwarded to the spectral norm.
+    The norm's relative error is about quadratic in this residual tolerance
+    only when the top eigenvalue is well separated; on a clustered top it is
+    about linear (tol 1e-6 gave 1.1e-9, about 9 digits).  A norm that does
+    not converge within the restart cap comes from a dense solve instead.
     """
 
     kernels: tuple

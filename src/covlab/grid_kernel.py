@@ -10,6 +10,7 @@ quantities (operator norm = h * matrix norm, operator trace = h * trace).
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,7 +31,6 @@ __all__ = [
     "eval_kernel",
     "discretize",
     "fisher_yates_permutation",
-    "kernel_label",
     "taper_weight",
     "taper_weight_sumform",
     "lift_matrix_norm_check",
@@ -71,6 +71,14 @@ def build_grid(d: int, L: int) -> Grid:
     n = int(L) ** int(d)  # exact Python integer, no silent overflow
     if n >= 2**63:
         raise UsageError(f"grid size L^d = {n} does not fit the int64 index type")
+    # Every use of a grid builds n x n float64 matrices; refuse one that
+    # cannot fit before numpy tries to allocate it.
+    need, ram = 8 * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise UsageError(
+            f"grid of {n} points needs {need / 2**30:.1f} GiB per n x n matrix, "
+            f"more than the {ram / 2**30:.1f} GiB of physical memory"
+        )
     axis = np.arange(L, dtype=np.float64) / (L - 1)
     if d == 1:
         pts = axis[:, None].copy()
@@ -179,21 +187,6 @@ class PiecewiseConstant:
 
 
 KernelSpec = Union[SquaredExponential, Matern, Periodic, Permuted, PiecewiseConstant]
-
-
-def kernel_label(spec: KernelSpec) -> str:
-    """Short stable name used in CSV columns and file names."""
-    if isinstance(spec, SquaredExponential):
-        return "se"
-    if isinstance(spec, Matern):
-        return "matern"
-    if isinstance(spec, Periodic):
-        return "periodic"
-    if isinstance(spec, Permuted):
-        return "permuted"
-    if isinstance(spec, PiecewiseConstant):
-        return "pwc"
-    raise UsageError(f"unknown kernel spec {type(spec).__name__}")
 
 
 # ------------------------------------------------------ kernel evaluation ----

@@ -9,6 +9,7 @@ is assumed to hold.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,7 +56,15 @@ class CheckResult:
     measured: float
     bound: float
     slack: float
-    note: str = ""
+
+    def lines(self, slack_key: str = "slack") -> list:
+        """The four report lines: name.pass, .measured, .bound and .<slack_key>."""
+        return [
+            f"{self.name}.pass={'true' if self.passed else 'false'}",
+            f"{self.name}.measured={self.measured!r}",
+            f"{self.name}.bound={self.bound!r}",
+            f"{self.name}.{slack_key}={self.slack!r}",
+        ]
 
 
 @dataclass(frozen=True)
@@ -63,23 +72,8 @@ class CertificateReport:
     family: str
     checks: tuple
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-    def format(self) -> str:
-        lines = [f"family={self.family}"]
-        for c in self.checks:
-            lines.append(f"{c.name}.pass={'true' if c.passed else 'false'}")
-            lines.append(f"{c.name}.measured={c.measured!r}")
-            lines.append(f"{c.name}.bound={c.bound!r}")
-            lines.append(f"{c.name}.slack={c.slack!r}")
-            if c.note:
-                lines.append(f"{c.name}.note={c.note}")
-        return "\n".join(lines)
-
-
-def _check(name: str, measured: float, bound: float, kind: str, note: str = "") -> CheckResult:
+def _check(name: str, measured: float, bound: float, kind: str) -> CheckResult:
     """kind: 'le' measured <= bound, 'ge' measured >= bound, 'eq0' |measured| <= bound."""
     if kind == "le":
         slack = bound - measured
@@ -89,10 +83,8 @@ def _check(name: str, measured: float, bound: float, kind: str, note: str = "") 
         slack = bound - abs(measured)
     else:
         raise UsageError(f"unknown check kind {kind}")
-    return CheckResult(
-        name=name, passed=slack >= 0.0, measured=measured, bound=bound,
-        slack=slack, note=note,
-    )
+    return CheckResult(name=name, passed=slack >= 0.0, measured=measured, bound=bound,
+                       slack=slack)
 
 
 # ------------------------------------------------------- banded families ----
@@ -198,10 +190,24 @@ class BandedFamilySpec:
             raise UsageError("the diagonal family has no perturbation cells")
         return list(itertools.product(per_axis, repeat=self.d))
 
-    def linked_axis_range(self, c_i: int) -> range:
-        """Cells linked to an active cell along one axis: forward by 2."""
-        upper = 2 * self.K - 1 if self.kind == "f2" else self.S - 1
-        return range(c_i + 2, upper + 1)
+    @property
+    def last_linked(self) -> int:
+        """Last cell index, along each axis, that a link may reach."""
+        return 2 * self.K - 1 if self.kind == "f2" else self.S - 1
+
+    def links(self) -> list:
+        """(row, [linked columns]) per active cell, in theta-bit order.
+
+        Each axis links forward by 2 up to last_linked, so every column lies
+        strictly above its row and no two cells link the same entry.
+        """
+        dims = (self.S,) * self.d
+        out = []
+        for cell in self.active_cells():
+            targets = itertools.product(*[range(c + 2, self.last_linked + 1) for c in cell])
+            out.append((int(np.ravel_multi_index(cell, dims)),
+                        [int(np.ravel_multi_index(t, dims)) for t in targets]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,6 @@ class ThetaIndex:
     def __post_init__(self) -> None:
         if any(b not in (0, 1) for b in self.bits):
             raise UsageError("theta bits must be 0/1")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
 
 
 def build_f1_banded(spec: BandedFamilySpec) -> list:
@@ -242,27 +244,18 @@ def build_f1_banded(spec: BandedFamilySpec) -> list:
 
 
 def _build_linked(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
-    cells = spec.active_cells()
-    if len(theta.bits) != len(cells):
+    links = spec.links()
+    if len(theta.bits) != len(links):
         raise UsageError(
-            f"theta has {len(theta.bits)} bits; family has {len(cells)} cells"
+            f"theta has {len(theta.bits)} bits; family has {len(links)} cells"
         )
-    S, d = spec.S, spec.d
-    dims = (S,) * d
     upper = np.zeros((spec.r, spec.r), dtype=np.float64)
-    amp = spec.amplitude
-    for bit, cell in zip(theta.bits, cells):
+    for bit, (row, cols) in zip(theta.bits, links):
         if not bit:
             continue
-        row = int(np.ravel_multi_index(cell, dims))
-        axis_ranges = [spec.linked_axis_range(c_i) for c_i in cell]
-        for target in itertools.product(*axis_ranges):
-            col = int(np.ravel_multi_index(target, dims))
-            # Links always point forward, so (row, col) lands strictly above
-            # the diagonal and no two cells write the same entry.
-            if upper[row, col] != 0.0:
-                raise NumericError("cell links overlapped; construction invariant broken")
-            upper[row, col] = amp
+        if upper[row, cols].any():
+            raise NumericError("cell links overlapped; construction invariant broken")
+        upper[row, cols] = spec.amplitude
     return np.eye(spec.r) + upper + upper.T
 
 
@@ -283,11 +276,6 @@ def build_f3_banded(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
 # ----------------------------------------------------- banded certifier ----
 
 
-def _cell_supdist(delta_cells: tuple, S: int) -> float:
-    """Largest point distance between two cells that are delta_cells apart."""
-    return math.sqrt(sum(((abs(g) + 1) / S) ** 2 for g in delta_cells))
-
-
 def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> CertificateReport:
     """Numeric membership certificate for a linked-family member.
 
@@ -303,19 +291,17 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
     lam_min, norm = float(eigs[0]), float(np.max(np.abs(eigs)))
     checks = []
 
-    trace_lift = float(np.trace(Sigma)) / r  # h * matrix trace on any aligned lift
-    checks.append(_check("lifted_trace", trace_lift - 1.0, 1e-12, "eq0",
-                         note="measured is trace-1; equals sup k(x,x)=1"))
+    # h * matrix trace on any aligned lift; measured is trace-1, as sup k(x,x)=1.
+    trace_lift = float(np.trace(Sigma)) / r
+    checks.append(_check("lifted_trace", trace_lift - 1.0, 1e-12, "eq0"))
     # Sum with the diagonal zeroed, not row-sum-minus-diagonal: the mass is
     # tiny next to the unit diagonal and would drown in cancellation noise.
     off_abs = np.abs(Sigma)
     np.fill_diagonal(off_abs, 0.0)
     off_row = float(np.max(off_abs.sum(axis=1)))
-    budget = spec.tau * spec.h_N * (2 * spec.K) ** d if spec.kind == "f2" else \
-        spec.amplitude * (S - 2) ** d
+    budget = spec.amplitude * (2 * spec.K if spec.kind == "f2" else S - 2) ** d
     checks.append(_check("gershgorin_row_mass", off_row,
-                         min(budget * (1.0 + 1e-12), 0.25), "le",
-                         note="off-diagonal row mass within the 1/4 budget"))
+                         min(budget * (1.0 + 1e-12), 0.25), "le"))
     checks.append(_check("lambda_min", lam_min, 0.75 - 1e-10, "ge"))
     col_norm = float(np.max(np.sum(np.abs(Sigma), axis=0)))
     checks.append(_check("l1_norm", col_norm, 1.25, "le"))
@@ -326,32 +312,22 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
     # Banding tails of the lifted kernel, exact at cell level.  The row
     # integral beyond radius m * r_eff^(-1/d) is summed over whole cells
     # whose farthest point crosses the radius (an upper bound on the sup).
-    cell_vol = 1.0 / r
+    # The rows are the set cells and the cells they link to.
     op_norm = norm / r
-    cells = spec.active_cells()
-    rows = set()
-    for bit, cell in zip(theta.bits, cells):
-        if bit:
-            rows.add(cell)
-            for target in itertools.product(*[spec.linked_axis_range(c) for c in cell]):
-                rows.add(target)
-    dims = (S,) * d
+    rows = sorted({i for bit, (row, cols) in zip(theta.bits, spec.links()) if bit
+                   for i in (row, *cols)})
+    mass = np.abs(Sigma[rows]) * (1.0 / r)
+    coords = np.indices((S,) * d).reshape(d, r)
+    far = (np.abs(coords[:, None, :] - coords[:, rows, None]) + 1) / S
+    supdist = np.sqrt(np.sum(far * far, axis=0))  # largest point distance, rows x cells
     for m in range(1, spec.m_star + 3):
         radius = m * r_eff ** (-1.0 / d)
-        worst = 0.0
-        for cell in rows:
-            i = int(np.ravel_multi_index(cell, dims))
-            row = Sigma[i]
-            tail = 0.0
-            for j in np.nonzero(row)[0]:
-                other = np.unravel_index(int(j), dims)
-                gap = tuple(o - c for o, c in zip(other, cell))
-                if _cell_supdist(gap, S) >= radius:
-                    tail += abs(float(row[j])) * cell_vol
-            worst = max(worst, tail)
+        # cumsum adds left to right, as the definition does; np.sum's pairwise
+        # order would move the last digit.
+        worst = float(np.cumsum(mass * (supdist >= radius), axis=1)[:, -1].max(initial=0.0))
         if m > spec.m_star - 1:
-            checks.append(_check(f"tail_zero_m{m}", worst, 0.0, "eq0",
-                                 note="support ends before this radius"))
+            # The support ends before this radius.
+            checks.append(_check(f"tail_zero_m{m}", worst, 0.0, "eq0"))
         else:
             bound = _TAIL_CONST * spec.nu.nu(m) * op_norm
             checks.append(_check(f"tail_bound_m{m}", worst, bound, "le"))
@@ -444,9 +420,11 @@ class SparseThetaIndex:
         if any(b not in (0, 1) for b in self.xi):
             raise UsageError("xi bits must be 0/1")
 
-    @property
-    def weight(self) -> int:
-        return sum(self.xi)
+
+def _under_column_cap(spec: SparseFamilySpec, supports) -> bool:
+    """Whether no column appears in more than 2*ell of the row supports."""
+    cols = np.fromiter((c for support in supports for c in support), dtype=np.int64)
+    return int(np.bincount(cols, minlength=spec.r).max(initial=0)) <= 2 * spec.ell
 
 
 def _validate_sparse_theta(spec: SparseFamilySpec, theta: SparseThetaIndex) -> None:
@@ -456,9 +434,8 @@ def _validate_sparse_theta(spec: SparseFamilySpec, theta: SparseThetaIndex) -> N
             f"{len(theta.xi)} and {len(theta.rows)}"
         )
     lo = spec.r - spec.r_star
-    counts = np.zeros(spec.r, dtype=np.int64)
-    for support in theta.rows:
-        cols = sorted(set(int(c) for c in support))
+    supports = [sorted(set(int(c) for c in support)) for support in theta.rows]
+    for cols in supports:
         if len(cols) != spec.ell:
             raise UsageError(
                 f"each row support must have exactly ell={spec.ell} distinct "
@@ -469,9 +446,7 @@ def _validate_sparse_theta(spec: SparseFamilySpec, theta: SparseThetaIndex) -> N
                 f"support columns must lie in the last r*={spec.r_star} "
                 f"coordinates [{lo}, {spec.r})"
             )
-        for c in cols:
-            counts[c] += 1
-    if int(counts.max(initial=0)) > 2 * spec.ell:
+    if not _under_column_cap(spec, supports):
         raise UsageError(
             f"assembled supports violate the column cap 2*ell={2 * spec.ell}"
         )
@@ -528,23 +503,20 @@ def certify_sparse_membership(
     eigs = np.linalg.eigvalsh(Sigma)
     norm = float(np.max(np.abs(eigs)))
     checks = [
-        _check("lambda_min", float(eigs[0]), 0.0, "ge",
-               note="members must stay positive definite"),
+        _check("lambda_min", float(eigs[0]), 0.0, "ge"),
         _check("op_norm_unit", norm - 1.0, 1e-10, "eq0"),
     ]
     g1 = _sparse_gamma1_cells(Sigma, spec.q, norm)
     checks.append(_check("gamma1_budget", g1, spec.gamma1_q, "le"))
     cap_bound = math.sqrt(2.0 * math.log(n))
-    checks.append(_check("cap_vs_gamma2", cap_bound, spec.gamma2 * (1 + 1e-12), "le",
-                         note="sqrt(2 log(r+1)) <= declared gamma2"))
+    checks.append(_check("cap_vs_gamma2", cap_bound, spec.gamma2 * (1 + 1e-12), "le"))
     lower = np.linalg.cholesky(Sigma)
     draws = draw_paths(CholFactor(lower=lower, jitter_used=0.0, grid_h=1.0 / n),
                        mc_samples, seed)
     maxima = draws.paths.max(axis=1)
     est = float(np.mean(maxima))
     se = float(np.std(maxima, ddof=1)) / math.sqrt(mc_samples)
-    checks.append(_check("capacity_mc", est, cap_bound + 3.0 * se, "le",
-                         note=f"mc mean of grid maxima, se={se:.3e}, one-sided 3 sigma"))
+    checks.append(_check("capacity_mc", est, cap_bound + 3.0 * se, "le"))
     g0 = _sparse_gamma1_q0(Sigma, norm)
     checks.append(_check("support_product", g0 * math.exp(-spec.gamma2**2 / 2.0),
                          1.0, "le"))
@@ -576,11 +548,7 @@ def sample_sparse_theta(spec: SparseFamilySpec, seed: int, index: int) -> Sparse
                          gen.choice(np.arange(lo, spec.r), size=spec.ell, replace=False)))
             for _ in range(spec.r_star)
         )
-        counts = np.zeros(spec.r, dtype=np.int64)
-        for support in rows:
-            for c in support:
-                counts[c] += 1
-        if int(counts.max(initial=0)) <= 2 * spec.ell:
+        if _under_column_cap(spec, rows):
             return SparseThetaIndex(xi=xi, rows=rows)
     raise NumericError("could not sample supports under the column cap in 1000 tries")
 
@@ -588,22 +556,16 @@ def sample_sparse_theta(spec: SparseFamilySpec, seed: int, index: int) -> Sparse
 def flip_bit(theta, position: int):
     """Hamming-1 neighbor: flip one bit (xi bit for the sparse family)."""
     if isinstance(theta, ThetaIndex):
-        bits = list(theta.bits)
-        if not 0 <= position < len(bits):
-            raise UsageError(
-                f"bit position {position} outside 0..{len(bits) - 1}"
-            )
-        bits[position] = 1 - bits[position]
-        return ThetaIndex(bits=tuple(bits))
-    if isinstance(theta, SparseThetaIndex):
-        xi = list(theta.xi)
-        if not 0 <= position < len(xi):
-            raise UsageError(
-                f"bit position {position} outside 0..{len(xi) - 1}"
-            )
-        xi[position] = 1 - xi[position]
-        return SparseThetaIndex(xi=tuple(xi), rows=theta.rows)
-    raise UsageError(f"unknown theta type {type(theta).__name__}")
+        key = "bits"
+    elif isinstance(theta, SparseThetaIndex):
+        key = "xi"
+    else:
+        raise UsageError(f"unknown theta type {type(theta).__name__}")
+    bits = list(getattr(theta, key))
+    if not 0 <= position < len(bits):
+        raise UsageError(f"bit position {position} outside 0..{len(bits) - 1}")
+    bits[position] = 1 - bits[position]
+    return dataclasses.replace(theta, **{key: tuple(bits)})
 
 
 # ------------------------------------------------------------- Assouad ----
@@ -627,10 +589,7 @@ class AssouadReport:
             f"worst_frob2={self.worst_frob2!r}",
         ]
         for c in self.checks:
-            lines.append(f"{c.name}.pass={'true' if c.passed else 'false'}")
-            lines.append(f"{c.name}.measured={c.measured!r}")
-            lines.append(f"{c.name}.bound={c.bound!r}")
-            lines.append(f"{c.name}.slack={c.slack!r}")
+            lines.extend(c.lines())
         return "\n".join(lines)
 
 
@@ -643,25 +602,17 @@ def _banded_pair_data(spec: BandedFamilySpec, a: ThetaIndex, b: ThetaIndex):
     # Read each bit back from the matrix through the cell's own forward
     # links only; whole-row comparison would double-count symmetric entries
     # landing on active cells that serve as other cells' targets.
-    h_matrix = 0
-    for cell in cells:
-        i = int(np.ravel_multi_index(cell, dims))
-        targets = [
-            int(np.ravel_multi_index(t, dims))
-            for t in itertools.product(
-                *[spec.linked_axis_range(c) for c in cell]
-            )
-        ]
-        if targets and not np.array_equal(Sa[i, targets], Sb[i, targets]):
-            h_matrix += 1
+    h_matrix = sum(
+        1 for i, targets in spec.links()
+        if targets and not np.array_equal(Sa[i, targets], Sb[i, targets])
+    )
     # Witness: indicator of the target half-block the links point into.
     base = spec.K if spec.kind == "f2" else spec.S // 2
     v = np.zeros(spec.r)
     for target in itertools.product(range(base, 2 * base), repeat=spec.d):
         v[int(np.ravel_multi_index(target, dims))] = 1.0
     # Exact per-cell witness mass: the per-axis link range clipped to the
-    # target block has min(base, upper-c_i-1) cells.
-    upper = 2 * spec.K - 1 if spec.kind == "f2" else spec.S - 1
+    # target block has min(base, last_linked-c_i-1) cells.
     pred2 = 0.0
     for bit_a, bit_b, cell in zip(a.bits, b.bits, cells):
         if bit_a == bit_b:
@@ -669,7 +620,7 @@ def _banded_pair_data(spec: BandedFamilySpec, a: ThetaIndex, b: ThetaIndex):
         count = 1
         for c_i in cell:
             lo = max(c_i + 2, base)
-            count *= max(0, upper - lo + 1)
+            count *= max(0, spec.last_linked - lo + 1)
         pred2 += (spec.amplitude * count) ** 2
     return Sa, Sb, h_bits, h_matrix, v, math.sqrt(pred2)
 
@@ -742,21 +693,17 @@ def assouad_terms(spec, pairs: Sequence) -> AssouadReport:
             if banded and spec.kind == "f2":
                 fb = 2.0 * spec.tau**2 * spec.h_N**2 * (2 * spec.K) ** spec.d
                 frob_slack_min = min(frob_slack_min, fb - frob2)
-    checks.append(_check("hamming_two_ways", 0.0 if hamming_ok else 1.0, 0.0, "eq0",
-                         note="bit count equals matrix row-support count"))
-    checks.append(_check("witness_exact", witness_eq_worst, 1e-10, "eq0",
-                         note="measured |delta v| matches the combinatorial count"))
+    checks.append(_check("hamming_two_ways", 0.0 if hamming_ok else 1.0, 0.0, "eq0"))
+    # The measured |delta v| matches the combinatorial count.
+    checks.append(_check("witness_exact", witness_eq_worst, 1e-10, "eq0"))
     if witness_ok_slack is not math.inf:
-        checks.append(_check("witness_lower_bound", witness_ok_slack, -1e-12, "ge",
-                             note="alpha >= |delta v| / (|v| H)"))
+        checks.append(_check("witness_lower_bound", witness_ok_slack, -1e-12, "ge"))
     if not banded and alpha_sparse_slack is not math.inf:
         checks.append(_check("alpha_vs_ell_eps_over_r", alpha_sparse_slack, -1e-12, "ge"))
     if kl_ratio_worst > 0.0:
-        checks.append(_check("kl_vs_frobenius", kl_ratio_worst, 16.0 / 9.0, "le",
-                             note="KL <= (16/9) Frobenius^2 on Hamming-1 pairs"))
+        checks.append(_check("kl_vs_frobenius", kl_ratio_worst, 16.0 / 9.0, "le"))
     if frob_slack_min is not math.inf:
-        checks.append(_check("frobenius_budget", -frob_slack_min, 0.0, "le",
-                             note="Frobenius^2 <= 2 tau^2 h_N^2 (2K)^d"))
+        checks.append(_check("frobenius_budget", -frob_slack_min, 0.0, "le"))
     return AssouadReport(
         alpha_min=alpha_min, worst_kl=worst_kl, worst_frob2=worst_frob2,
         checks=tuple(checks),

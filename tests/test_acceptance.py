@@ -5,6 +5,7 @@ quantities next to the pinned tolerance, then asserts, so a teed run log
 always records the complete scoreboard.  Criteria with a wall-clock budget
 measure and enforce it.  The tests are defined in execution order; the
 final one re-runs the full figure sweep twice and dominates the runtime.
+A companion test checks the stated explanation of a criterion that fails.
 """
 
 import math
@@ -12,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from covlab import (
     BandedFamilySpec,
@@ -316,6 +318,32 @@ def test_criterion_09_sample_covariance_rate():
         f"{means[0]:.4f} / {means[1]:.4f}, ratio {ratio:.4f}, window "
         f"[{lo:.3f}, {hi:.3f}] around sqrt(10)",
     )
+
+
+def test_criterion_09_companion_linear_regime():
+    """Why criterion 9 fails: at N=100 the small lengthscale is in the linear regime.
+
+    Koltchinskii & Lounici bound the sample-covariance error by
+    max(sqrt(r/N), r/N).  With r = r_eff of se on L=1250, r/N crosses 1
+    between the two lengthscales, so the predicted ratio is about 6.3, not
+    sqrt(10), and lies above the criterion's window.
+    """
+    grid = build_grid(1, 1250)
+    N = 100
+    r1, r2 = (
+        operator_quantities(discretize(SquaredExponential(lengthscale=lam), grid)).r_eff
+        for lam in (1e-3, 1e-2)
+    )
+    assert r1 == pytest.approx(399.26, abs=0.01)
+    assert r2 == pytest.approx(39.95, abs=0.01)
+    assert r1 / N > 1.0 > r2 / N
+
+    def rate(x):
+        return max(math.sqrt(x), x)
+
+    predicted = rate(r1 / N) / rate(r2 / N)
+    assert predicted == pytest.approx(6.32, abs=0.005)
+    assert predicted > (1.0 + RATE_WINDOW) * RATE_TARGET
 
 
 def test_criterion_10_lower_bound_certificates():

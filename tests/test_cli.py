@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covlab.cli
 import covlab.diagnostics
 from covlab import load_matrix, load_summaries, load_trials
 from covlab.cli import main, parse_config_file
@@ -341,6 +342,26 @@ class TestMinimaxCheck:
         ])
         assert code == 2
         assert "covlab: error:" in err
+
+
+class TestMemory:
+    def test_grid_beyond_physical_memory_exits_2(self, capsys):
+        # n = 1250^2 points: one n x n matrix would take 17.8 TiB.
+        code, _, err = _run(
+            capsys, ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "1250", "--d", "2"]
+        )
+        assert code == 2
+        assert "covlab: error: grid of 1562500 points needs 18189.9 GiB" in err
+        assert "Traceback" not in err
+
+    def test_memory_error_is_one_line_exit_1(self, capsys, monkeypatch):
+        def discretize(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.5 MiB")
+
+        monkeypatch.setattr(covlab.cli, "discretize", discretize)
+        code, _, err = _run(capsys, ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "16"])
+        assert code == 1
+        assert err == "covlab: out of memory\n"
 
 
 class TestParser:

@@ -148,6 +148,59 @@ class TestLinkedBandedFamilies:
             ThetaIndex(bits=(0, 2, 1))
 
 
+def _tails_by_definition(spec, theta, r_eff):
+    """Every tail_* value recomputed cell by cell with scalar arithmetic.
+
+    tail at m: the largest, over the rows that carry a set bit or a link, of
+    the sum of |Sigma_ij| / r over the cells j whose farthest point from cell
+    i lies at least m * r_eff^(-1/d) away.
+    """
+    build = build_f2_banded if spec.kind == "f2" else build_f3_banded
+    Sigma = build(spec, theta)
+    r, S, d = spec.r, spec.S, spec.d
+    coords = [tuple(int(c) for c in np.unravel_index(j, (S,) * d)) for j in range(r)]
+    set_cells = {cell for bit, cell in zip(theta.bits, spec.active_cells()) if bit}
+    rows = [
+        i for i in range(r)
+        if coords[i] in set_cells or any(Sigma[i, j] != 0.0 for j in range(r) if j != i)
+    ]
+    supdist = {
+        (i, j): math.sqrt(sum(((abs(a - b) + 1) / S) ** 2 for a, b in zip(coords[j], coords[i])))
+        for i in rows for j in range(r)
+    }
+    tails = {}
+    for m in range(1, spec.m_star + 3):
+        radius = m * r_eff ** (-1.0 / d)
+        worst = 0.0
+        for i in rows:
+            tail = 0.0
+            for j in range(r):
+                if supdist[i, j] >= radius:
+                    tail += abs(float(Sigma[i, j])) * (1.0 / r)
+            worst = max(worst, tail)
+        name = "tail_zero_m" if m > spec.m_star - 1 else "tail_bound_m"
+        tails[f"{name}{m}"] = worst
+    return tails
+
+
+class TestBandingTails:
+    @pytest.mark.parametrize("kind, r, N, d", [
+        ("f2", 16, 50, 1),
+        ("f3", 16, 100_000, 1),
+        ("f3", 64, 100_000, 2),
+        ("f2", 64, 60, 2),  # K=1: a set cell has no links, yet its diagonal counts
+    ])
+    def test_tails_equal_their_definition(self, kind, r, N, d):
+        spec = BandedFamilySpec(kind=kind, r=r, N=N, d=d, nu=_nu_table())
+        thetas = [ThetaIndex(bits=(0,) * spec.gamma_N), ThetaIndex(bits=(1,) * spec.gamma_N)]
+        thetas += [sample_banded_theta(spec, seed=17, index=i) for i in range(3)]
+        for theta in thetas:
+            report = certify_banded_membership(spec, theta)
+            measured = {c.name: c.measured for c in report.checks}
+            tails = {k: v for k, v in measured.items() if k.startswith("tail_")}
+            assert tails == _tails_by_definition(spec, theta, measured["r_eff_lower"])
+
+
 class TestSparseFamily:
     def test_derived_sizes(self):
         spec = _sparse_spec()
