@@ -21,6 +21,7 @@ from .grid_kernel import (
     eval_kernel,
     fisher_yates_permutation,
     lift_matrix_norm_check,
+    shuffle_cov,
     taper_weight,
     taper_weight_matrix,
     taper_weight_sumform,
@@ -35,7 +36,6 @@ from .diagnostics import (
     gamma2,
     kl_gaussian,
     m_star,
-    nu_tail,
     operator_quantities,
     rel_error,
     spectral_norm,

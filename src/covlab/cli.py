@@ -27,6 +27,7 @@ from .diagnostics import (
 )
 from .estimators import EstimatorConfig
 from .experiments import (
+    KERNEL_NAMES,
     ExperimentConfig,
     KernelTemplate,
     TRIAL_HEADER,
@@ -59,7 +60,7 @@ from .svgplot import emit_svg
 
 __all__ = ["main"]
 
-_DIAG_KERNELS = ("se", "matern", "periodic", "permuted", "pwc")
+_DIAG_KERNELS = KERNEL_NAMES + ("pwc",)
 _PWC_CELLS = 10  # the pwc diagnostic uses a fixed identity lift of this size
 
 # Flat config registry: key -> (type tag, default).  None means "required".
@@ -443,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimax_check)
 
     p = sub.add_parser("estimate", help="one seeded trial with chosen estimators")
-    p.add_argument("--kernel", required=True,
-                   choices=("se", "matern", "periodic", "permuted"))
+    p.add_argument("--kernel", required=True, choices=KERNEL_NAMES)
     p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--L", required=True, type=int)
     p.add_argument("--d", type=int, default=1)

@@ -9,6 +9,7 @@ operator trace is h times the matrix trace.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -36,7 +37,6 @@ __all__ = [
     "gamma1",
     "gamma2",
     "NuSequence",
-    "nu_tail",
     "m_star",
     "eps_star",
     "rel_error",
@@ -181,32 +181,9 @@ def gamma2(
 # -------------------------------------------------------- tail sequence ----
 
 
-def _se_profile(r: float) -> float:
-    return math.exp(-r * r / 2.0)
-
-
-def _radial_profile(spec: KernelSpec) -> Callable[[float], float]:
-    """Unit-lengthscale radial profile K with k(x,y) = K(|x-y|/lengthscale)."""
-    if isinstance(spec, SquaredExponential):
-        return _se_profile
-    if isinstance(spec, Matern):
-        z = spec.smoothness
-        if z == 0.5:
-            return lambda r: math.exp(-r)
-        if z == 1.5:
-            return lambda r: (1.0 + math.sqrt(3.0) * r) * math.exp(-math.sqrt(3.0) * r)
-        return lambda r: (
-            1.0 + math.sqrt(5.0) * r + 5.0 * r * r / 3.0
-        ) * math.exp(-math.sqrt(5.0) * r)
-    raise UsageError(
-        f"kernel {type(spec).__name__} has no monotone radial profile; "
-        "numeric tail sequences need SE or Matern"
-    )
-
-
-def _tail_integral(profile: Callable[[float], float], d: int, m: float) -> float:
-    """Integral of r^(d-1) K(r) over [m, infinity), truncated adaptively."""
-    f = lambda r: r ** (d - 1) * profile(r)
+def _tail_integral(unit: KernelSpec, d: int, m: float) -> float:
+    """Integral of r^(d-1) K(r) over [m, infinity) for the kernel K at unit lengthscale."""
+    f = lambda r: r ** (d - 1) * unit.of_sqdist(r * r)
     T = max(2.0 * m, m + 10.0)
     total, _ = scipy.integrate.quad(f, m, T, epsabs=1e-12, epsrel=1e-12, limit=200)
     for _ in range(60):
@@ -254,13 +231,19 @@ class NuSequence:
     def numeric(spec: KernelSpec, d: int) -> "NuSequence":
         if d < 1:
             raise UsageError(f"dimension must be >= 1, got {d}")
-        profile = _radial_profile(spec)
-        denom = _tail_integral(profile, d, 1.0)
+        # Only SE and Matern decay monotonically in |x-y|.
+        if not isinstance(spec, (SquaredExponential, Matern)):
+            raise UsageError(
+                f"kernel {type(spec).__name__} has no radial profile for "
+                "numeric tails; use the 'se' or 'exp' tail sequence"
+            )
+        unit = dataclasses.replace(spec, lengthscale=1.0)
+        denom = _tail_integral(unit, d, 1.0)
         if denom <= 0.0:
             raise NumericError("tail integral at m=1 vanished; cannot normalize")
         return NuSequence(
             source="numeric",
-            _fn=lambda m: _tail_integral(profile, d, float(m)) / denom,
+            _fn=lambda m: _tail_integral(unit, d, float(m)) / denom,
         )
 
     @staticmethod
@@ -288,11 +271,6 @@ class NuSequence:
         if m not in self._memo:
             self._memo[m] = float(self._fn(m))
         return self._memo[m]
-
-
-def nu_tail(source: NuSequence, m: int) -> float:
-    """Value nu_m of the banding tail sequence."""
-    return source.nu(m)
 
 
 def m_star(nu: NuSequence, N: int, d: int) -> int:

@@ -26,8 +26,7 @@ __all__ = [
     "adaptive_threshold",
 ]
 
-_K_INF_MODES = ("known", "plugin_max_diag", "plugin_max_abs")
-_KAPPA_SCALE_MODES = ("lengthscale", "plugin_effective_dim")
+_K_INF_MODES = ("known", "plugin_max_diag")
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,12 @@ class EstimatorConfig:
     c0 scales the threshold level; theory wants c0 <= sqrt(N) at use time,
     which is not enforced here (tiny-N calls are still well defined, they
     just threshold aggressively).  k_inf_mode picks the sup-kernel proxy:
-    a known constant, the largest sample variance (default), or the largest
-    absolute sample-covariance entry.  kappa_scale_mode records whether the
-    taper scale is the known lengthscale or the plugin effective-dimension
-    estimate; the scale itself is passed to choose_kappa by the caller.
+    a known constant or the largest sample variance (default).
     """
 
     c0: float = 2.0
     k_inf_mode: str = "plugin_max_diag"
     k_inf_value: Optional[float] = None
-    kappa_scale_mode: str = "lengthscale"
 
     def __post_init__(self) -> None:
         if not self.c0 > 0:
@@ -57,11 +52,6 @@ class EstimatorConfig:
             )
         if self.k_inf_mode == "known" and self.k_inf_value is None:
             raise UsageError("k_inf_mode 'known' needs k_inf_value")
-        if self.kappa_scale_mode not in _KAPPA_SCALE_MODES:
-            raise UsageError(
-                f"kappa_scale_mode must be one of {_KAPPA_SCALE_MODES}, "
-                f"got {self.kappa_scale_mode!r}"
-            )
 
 
 def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
@@ -102,10 +92,8 @@ def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:
 def _resolve_k_inf(S: SampleSet, cfg: EstimatorConfig) -> float:
     if cfg.k_inf_mode == "known":
         value = float(cfg.k_inf_value)
-    elif cfg.k_inf_mode == "plugin_max_diag":
+    else:  # plugin_max_diag
         value = float(np.max(np.diag(sample_cov(S).entries)))
-    else:  # plugin_max_abs
-        value = float(np.max(np.abs(sample_cov(S).entries)))
     if value < 0:
         raise UsageError(f"resolved sup-kernel value is negative: {value}")
     return value

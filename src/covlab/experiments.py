@@ -30,7 +30,7 @@ from .grid_kernel import (
     SquaredExponential,
     build_grid,
     discretize,
-    fisher_yates_permutation,
+    shuffle_cov,
 )
 from .sampling import SampleSet, cholesky_psd, draw_paths, sample_cov
 
@@ -40,6 +40,7 @@ __all__ = [
     "TrialRecord",
     "SummaryRow",
     "SweepResult",
+    "KERNEL_NAMES",
     "TRIAL_HEADER",
     "SUMMARY_HEADER",
     "n_for_lambda",
@@ -58,7 +59,15 @@ __all__ = [
     "load_summaries",
 ]
 
-_KERNEL_NAMES = ("se", "matern", "periodic", "permuted")
+# Kernel name -> spec at (lengthscale, smoothness, period); 'permuted' is
+# its unshuffled squared-exponential base.
+_KERNELS = {
+    "se": lambda lam, smoothness, period: SquaredExponential(lengthscale=lam),
+    "matern": lambda lam, smoothness, period: Matern(lengthscale=lam, smoothness=smoothness),
+    "periodic": lambda lam, smoothness, period: Periodic(lengthscale=lam, period=period),
+    "permuted": lambda lam, smoothness, period: SquaredExponential(lengthscale=lam),
+}
+KERNEL_NAMES = tuple(_KERNELS)
 _NU_SOURCES = ("default", "se", "exp", "numeric")
 
 TRIAL_HEADER = "kernel,lambda,d,L,N,trial,seed,kappa,rho_hat,err_sample,err_taper,err_thresh"
@@ -81,9 +90,9 @@ class KernelTemplate:
     nu_source: str = "default"
 
     def __post_init__(self) -> None:
-        if self.name not in _KERNEL_NAMES:
+        if self.name not in KERNEL_NAMES:
             raise UsageError(
-                f"kernel must be one of {_KERNEL_NAMES}, got {self.name!r}"
+                f"kernel must be one of {KERNEL_NAMES}, got {self.name!r}"
             )
         if self.nu_source not in _NU_SOURCES:
             raise UsageError(
@@ -195,11 +204,11 @@ def trial_seed(cfg: ExperimentConfig, kernel_index: int, lambda_index: int, tria
 
 def kernel_for(name: str, lam: float, smoothness: float, period: float) -> KernelSpec:
     """Concrete kernel at the given lengthscale; 'permuted' gives its unshuffled base."""
-    if name in ("se", "permuted"):
-        return SquaredExponential(lengthscale=lam)
-    if name == "matern":
-        return Matern(lengthscale=lam, smoothness=smoothness)
-    return Periodic(lengthscale=lam, period=period)
+    if name not in _KERNELS:
+        raise UsageError(
+            f"no kernel named {name!r} takes a lengthscale; expected one of {KERNEL_NAMES}"
+        )
+    return _KERNELS[name](lam, smoothness, period)
 
 
 def nu_for(name: str, source: str, d: int, smoothness: float) -> NuSequence:
@@ -212,8 +221,6 @@ def nu_for(name: str, source: str, d: int, smoothness: float) -> NuSequence:
         return NuSequence.se_d1()
     if source == "exp":
         return NuSequence.exponential()
-    if name not in ("se", "matern", "permuted"):
-        raise UsageError(f"kernel {name!r} has no radial profile for numeric tails; use 'se' or 'exp'")
     return NuSequence.numeric(kernel_for(name, 1.0, smoothness, KernelTemplate.period), d)
 
 
@@ -262,10 +269,7 @@ def simulate_trial(
     """
     base = draw_paths(prep.factor, prep.N, draw_seed)
     if prep.kernel == "permuted":
-        perm = fisher_yates_permutation(prep.grid.n, shuffle_seed)
-        truth = CovMatrix(
-            entries=prep.C.entries[np.ix_(perm, perm)], grid_h=prep.C.grid_h
-        )
+        truth, perm = shuffle_cov(prep.C, shuffle_seed)
         S = SampleSet(paths=base.paths[:, perm], seed=draw_seed, grid_h=prep.grid.h)
     else:
         truth, S = prep.C, base

@@ -31,6 +31,7 @@ __all__ = [
     "eval_kernel",
     "discretize",
     "fisher_yates_permutation",
+    "shuffle_cov",
     "taper_weight",
     "taper_weight_sumform",
     "lift_matrix_norm_check",
@@ -102,6 +103,11 @@ class SquaredExponential:
         if not self.lengthscale > 0:
             raise UsageError(f"lengthscale must be > 0, got {self.lengthscale}")
 
+    def of_sqdist(self, d2):
+        """Kernel value at squared distance d2 = |x-y|^2 (scalar or array)."""
+        lam = self.lengthscale
+        return np.exp(-d2 / (2.0 * lam * lam))
+
 
 _MATERN_SMOOTHNESS = (0.5, 1.5, 2.5)
 
@@ -122,6 +128,15 @@ class Matern:
                 f"got {self.smoothness}"
             )
 
+    def of_sqdist(self, d2):
+        """Kernel value at squared distance d2 = |x-y|^2 (scalar or array)."""
+        s = np.sqrt(2.0 * self.smoothness) * (np.sqrt(d2) / self.lengthscale)
+        if self.smoothness == 0.5:
+            return np.exp(-s)
+        if self.smoothness == 1.5:
+            return (1.0 + s) * np.exp(-s)
+        return (1.0 + s + s * s / 3.0) * np.exp(-s)
+
 
 @dataclass(frozen=True)
 class Periodic:
@@ -135,6 +150,11 @@ class Periodic:
             raise UsageError(f"lengthscale must be > 0, got {self.lengthscale}")
         if not self.period > 0:
             raise UsageError(f"period must be > 0, got {self.period}")
+
+    def of_sqdist(self, d2):
+        """Kernel value at squared distance d2 = |x-y|^2 (scalar or array)."""
+        s = np.sin(np.pi * np.sqrt(d2) / self.period)
+        return np.exp(-2.0 * s * s / (self.lengthscale**2))
 
 
 @dataclass(frozen=True)
@@ -192,24 +212,13 @@ KernelSpec = Union[SquaredExponential, Matern, Periodic, Permuted, PiecewiseCons
 # ------------------------------------------------------ kernel evaluation ----
 
 
-def _matern_profile(r: np.ndarray, smoothness: float) -> np.ndarray:
-    """Half-integer Matern correlation as a function of r = |x-y|/lengthscale."""
-    if smoothness == 0.5:
-        return np.exp(-r)
-    if smoothness == 1.5:
-        s = np.sqrt(3.0) * r
-        return (1.0 + s) * np.exp(-s)
-    if smoothness == 2.5:
-        s = np.sqrt(5.0) * r
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    raise UsageError(f"unsupported matern smoothness {smoothness}")
-
-
-def _as_point(x, name: str) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if p.ndim != 1:
-        raise UsageError(f"{name} must be a flat coordinate vector")
-    return p
+def _point_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    px, py = (np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in (x, y))
+    if px.ndim != 1 or py.ndim != 1:
+        raise UsageError("points must be flat coordinate vectors")
+    if px.shape != py.shape:
+        raise UsageError(f"point shapes differ: {px.shape} vs {py.shape}")
+    return px, py
 
 
 def _pwc_cell_of_point(x: float, M: int) -> int:
@@ -218,11 +227,8 @@ def _pwc_cell_of_point(x: float, M: int) -> int:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for points x, y in [0,1]^d."""
-    px = _as_point(x, "x")
-    py = _as_point(y, "y")
-    if px.shape != py.shape:
-        raise UsageError(f"point shapes differ: {px.shape} vs {py.shape}")
+    """Evaluate k(x, y) for points x, y in [0,1]^d, to the bit as ``discretize`` does."""
+    px, py = _point_pair(x, y)
     if isinstance(spec, Permuted):
         raise UsageError(
             "permuted kernels are index-level objects; use discretize, "
@@ -235,16 +241,8 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
         return float(
             spec.values[_pwc_cell_of_point(px[0], M), _pwc_cell_of_point(py[0], M)]
         )
-    dist = float(np.linalg.norm(px - py))
-    if isinstance(spec, SquaredExponential):
-        lam = spec.lengthscale
-        return float(np.exp(-(dist * dist) / (2.0 * lam * lam)))
-    if isinstance(spec, Matern):
-        return float(_matern_profile(np.float64(dist / spec.lengthscale), spec.smoothness))
-    if isinstance(spec, Periodic):
-        s = np.sin(np.pi * dist / spec.period)
-        return float(np.exp(-2.0 * s * s / (spec.lengthscale**2)))
-    raise UsageError(f"unknown kernel spec {type(spec).__name__}")
+    d2 = _pairwise_sqdist(np.stack([px, py]))
+    return float(spec.of_sqdist(d2)[0, 1])
 
 
 # -------------------------------------------------------- discretization ----
@@ -287,6 +285,12 @@ def fisher_yates_permutation(n: int, seed: int) -> np.ndarray:
     return perm
 
 
+def shuffle_cov(C: CovMatrix, seed: int) -> tuple[CovMatrix, np.ndarray]:
+    """(C[perm, :][:, perm], perm) for the seeded Fisher-Yates permutation perm."""
+    perm = fisher_yates_permutation(C.n, seed)
+    return CovMatrix(entries=C.entries[np.ix_(perm, perm)], grid_h=C.grid_h), perm
+
+
 def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
     # Accumulate per axis: keeps peak memory at one (n, n) block and makes the
     # result bitwise symmetric (each term is a product of exact negations).
@@ -314,23 +318,11 @@ def discretize(spec: KernelSpec, grid: Grid) -> CovMatrix:
     entry (i, j) and entry (j, i) from bitwise-identical expressions.
     """
     if isinstance(spec, Permuted):
-        base = discretize(spec.base, grid)
-        perm = fisher_yates_permutation(grid.n, spec.seed)
-        return CovMatrix(entries=base.entries[np.ix_(perm, perm)], grid_h=grid.h)
+        return shuffle_cov(discretize(spec.base, grid), spec.seed)[0]
     if isinstance(spec, PiecewiseConstant):
         cells = _pwc_cells_for_grid(spec.cells, grid.n)
         return CovMatrix(entries=spec.values[np.ix_(cells, cells)], grid_h=grid.h)
-    d2 = _pairwise_sqdist(grid.points)
-    if isinstance(spec, SquaredExponential):
-        lam = spec.lengthscale
-        entries = np.exp(-d2 / (2.0 * lam * lam))
-    elif isinstance(spec, Matern):
-        entries = _matern_profile(np.sqrt(d2) / spec.lengthscale, spec.smoothness)
-    elif isinstance(spec, Periodic):
-        s = np.sin(np.pi * np.sqrt(d2) / spec.period)
-        entries = np.exp(-2.0 * s * s / (spec.lengthscale**2))
-    else:
-        raise UsageError(f"unknown kernel spec {type(spec).__name__}")
+    entries = spec.of_sqdist(_pairwise_sqdist(grid.points))
     return CovMatrix(entries=entries, grid_h=grid.h)
 
 
@@ -341,10 +333,7 @@ def taper_weight(kappa: float, x, y) -> float:
     """Flat-top taper: 1 within kappa, linear ramp to 0 at 2*kappa, per axis."""
     if not kappa > 0:
         raise UsageError(f"taper radius must be > 0, got {kappa}")
-    px = _as_point(x, "x")
-    py = _as_point(y, "y")
-    if px.shape != py.shape:
-        raise UsageError(f"point shapes differ: {px.shape} vs {py.shape}")
+    px, py = _point_pair(x, y)
     t = np.abs(px - py)
     w = np.clip((2.0 * kappa - t) / kappa, 0.0, 1.0)
     return float(np.prod(w))
@@ -354,10 +343,7 @@ def taper_weight_sumform(kappa: float, x, y) -> float:
     """Signed-sum form of the taper: kappa^-d sum over sigma in {1,2}^d."""
     if not kappa > 0:
         raise UsageError(f"taper radius must be > 0, got {kappa}")
-    px = _as_point(x, "x")
-    py = _as_point(y, "y")
-    if px.shape != py.shape:
-        raise UsageError(f"point shapes differ: {px.shape} vs {py.shape}")
+    px, py = _point_pair(x, y)
     t = np.abs(px - py)
     d = t.size
     total = 0.0

@@ -311,20 +311,18 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
 
     # Banding tails of the lifted kernel, exact at cell level.  The row
     # integral beyond radius m * r_eff^(-1/d) is summed over whole cells
-    # whose farthest point crosses the radius (an upper bound on the sup).
-    # The rows are the set cells and the cells they link to.
+    # whose farthest point crosses the radius (an upper bound on the sup),
+    # and the worst of every row is taken.
     op_norm = norm / r
-    rows = sorted({i for bit, (row, cols) in zip(theta.bits, spec.links()) if bit
-                   for i in (row, *cols)})
-    mass = np.abs(Sigma[rows]) * (1.0 / r)
+    mass = np.abs(Sigma) * (1.0 / r)
     coords = np.indices((S,) * d).reshape(d, r)
-    far = (np.abs(coords[:, None, :] - coords[:, rows, None]) + 1) / S
+    far = (np.abs(coords[:, None, :] - coords[:, :, None]) + 1) / S
     supdist = np.sqrt(np.sum(far * far, axis=0))  # largest point distance, rows x cells
     for m in range(1, spec.m_star + 3):
         radius = m * r_eff ** (-1.0 / d)
         # cumsum adds left to right, as the definition does; np.sum's pairwise
         # order would move the last digit.
-        worst = float(np.cumsum(mass * (supdist >= radius), axis=1)[:, -1].max(initial=0.0))
+        worst = float(np.cumsum(mass * (supdist >= radius), axis=1)[:, -1].max())
         if m > spec.m_star - 1:
             # The support ends before this radius.
             checks.append(_check(f"tail_zero_m{m}", worst, 0.0, "eq0"))

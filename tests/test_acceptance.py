@@ -46,11 +46,14 @@ from covlab import (
     sample_banded_theta,
     sample_cov,
     sample_sparse_theta,
+    shuffle_cov,
     spectral_norm,
     taper_weight,
+    taper_weight_matrix,
     taper_weight_sumform,
 )
 from covlab.cli import _CONFIG_KEYS, _experiment_config, parse_config_file
+from covlab.experiments import build_prep, n_for_lambda
 
 from helpers import random_psd, random_symmetric
 
@@ -289,6 +292,34 @@ def test_criterion_08_taper_breakdown_unordered_grids():
         f"({shuffled_taper_worse_than_zero}) | periodic: thresh {pe['thresh']:.4f} "
         f"< taper {pe['taper']:.4f} ({periodic_thresh_beats_taper})",
     )
+
+
+def test_criterion_08_companion_taper_sits_near_the_diagonal():
+    """Why criterion 8's first clause fails: the tapered shuffled truth is near I.
+
+    The taper weights W pair grid neighbours, and on a shuffled grid those
+    carry almost no correlation, so the tapered truth T.W is close to
+    diag T = I.  Keeping only the diagonal costs |T - I| / |T| = 1 - 1/|T|
+    (T is PSD with unit diagonal and |T| > 2), and by the triangle inequality
+    the population taper error |T.W - T| / |T| lies within |T.W - I| / |T|
+    of that, below 1.  T.W is indefinite, so W is no PSD Schur multiplier.
+    """
+    lam = 10.0**-2.2
+    cfg = ExperimentConfig(kernels=(KernelTemplate("permuted"),), lambda_grid=(lam,), L=1250)
+    prep = build_prep(cfg.kernels[0], lam, cfg.L, cfg.d, n_for_lambda(cfg, lam), cfg.norm_tol)
+    W = taper_weight_matrix(prep.kappa, prep.grid)
+    for seed in (1, 2, 3):
+        T = shuffle_cov(prep.C, seed)[0].entries
+        norm = spectral_norm(T, method="dense")
+        diag_err = spectral_norm(T - np.diag(np.diag(T)), method="dense") / norm
+        assert diag_err == pytest.approx(1.0 - 1.0 / norm, abs=1e-12)
+        TW = T * W
+        eigs = np.linalg.eigvalsh(TW)
+        near_identity = max(eigs[-1] - 1.0, 1.0 - eigs[0]) / norm
+        taper_err = spectral_norm(TW - T, method="dense") / norm
+        assert abs(taper_err - diag_err) <= near_identity
+        assert taper_err < 1.0
+        assert eigs[0] < 0.0
 
 
 def test_criterion_09_sample_covariance_rate():

@@ -83,7 +83,15 @@ class TestDiagnose:
             "--N", "10", "--nu", "numeric",
         ])
         assert code == 2
-        assert "covlab: error:" in err
+        assert "covlab: error:" in err and "Periodic" in err
+
+    def test_pwc_has_no_numeric_tail(self, capsys):
+        code, _, err = _run(capsys, [
+            "diagnose", "--kernel", "pwc", "--lambda", "0.1", "--L", "40",
+            "--N", "10", "--nu", "numeric",
+        ])
+        assert code == 2
+        assert "covlab: error:" in err and "'pwc'" in err
 
     def test_bad_kernel_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -24,7 +24,6 @@ from covlab import (
     gamma2,
     kl_gaussian,
     m_star,
-    nu_tail,
     operator_quantities,
     rel_error,
     spectral_norm,
@@ -221,30 +220,30 @@ class TestNuSequences:
             NuSequence.exponential(),
             NuSequence.table([1.0, 0.5, 0.1]),
         ):
-            assert nu_tail(nu, 1) == pytest.approx(1.0)
+            assert nu.nu(1) == pytest.approx(1.0)
 
     def test_se_closed_form_values(self):
         nu = NuSequence.se_d1()
         for m in (2, 3, 5):
             want = math.erfc(m / math.sqrt(2)) / math.erfc(1 / math.sqrt(2))
-            assert nu_tail(nu, m) == pytest.approx(want, rel=1e-12)
+            assert nu.nu(m) == pytest.approx(want, rel=1e-12)
 
     def test_exponential_closed_form_values(self):
         nu = NuSequence.exponential()
-        assert nu_tail(nu, 3) == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert nu_tail(nu, 6) == pytest.approx(math.exp(-5.0), rel=1e-12)
+        assert nu.nu(3) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert nu.nu(6) == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_numeric_matches_se_closed_form(self):
         nu = NuSequence.numeric(SquaredExponential(1.0), 1)
         ref = NuSequence.se_d1()
         for m in range(1, 7):
-            assert nu_tail(nu, m) == pytest.approx(nu_tail(ref, m), abs=1e-8)
+            assert nu.nu(m) == pytest.approx(ref.nu(m), abs=1e-8)
 
     def test_numeric_matches_exponential_closed_form(self):
         nu = NuSequence.numeric(Matern(1.0, smoothness=0.5), 1)
         ref = NuSequence.exponential()
         for m in range(1, 7):
-            assert nu_tail(nu, m) == pytest.approx(nu_tail(ref, m), abs=1e-8)
+            assert nu.nu(m) == pytest.approx(ref.nu(m), abs=1e-8)
 
     def test_table_validation(self):
         with pytest.raises(UsageError):
@@ -257,7 +256,7 @@ class TestNuSequences:
     def test_rejects_bad_m(self):
         nu = NuSequence.se_d1()
         with pytest.raises(UsageError):
-            nu_tail(nu, 0)
+            nu.nu(0)
 
 
 class TestTruncationPair:
@@ -283,7 +282,7 @@ class TestTruncationPair:
                 nu = NuSequence.table([m ** -1.5 for m in range(1, 500)])
                 cap = max(N, 4)
                 enum = max(
-                    min(nu_tail(nu, m), math.sqrt(m**d / N))
+                    min(nu.nu(m), math.sqrt(m**d / N))
                     for m in range(1, cap + 1)
                 )
                 assert eps_star(nu, N, d) == pytest.approx(enum, rel=1e-12)

@@ -199,20 +199,6 @@ class TestAdaptiveThreshold:
         want = 1.5 * math.sqrt(k_inf) / math.sqrt(5) * paths.max(axis=1).mean()
         assert adaptive_threshold(S, cfg) == pytest.approx(want, rel=1e-12)
 
-    def test_plugin_max_abs_dominates_max_diag(self):
-        rng = np.random.default_rng(8)
-        paths = rng.standard_normal((5, 6))
-        S = SampleSet(paths=paths, seed=0, grid_h=1 / 6)
-        rho_diag = adaptive_threshold(
-            S, EstimatorConfig(k_inf_mode="plugin_max_diag")
-        )
-        rho_abs = adaptive_threshold(
-            S, EstimatorConfig(k_inf_mode="plugin_max_abs")
-        )
-        mean_sup = paths.max(axis=1).mean()
-        if mean_sup > 0:
-            assert rho_abs >= rho_diag
-
     def test_negative_known_value_rejected(self):
         S = SampleSet(paths=np.ones((2, 3)), seed=0, grid_h=1 / 3)
         cfg = EstimatorConfig(k_inf_mode="known", k_inf_value=-1.0)
@@ -226,7 +212,5 @@ class TestEstimatorConfig:
             EstimatorConfig(c0=0.0)
         with pytest.raises(UsageError):
             EstimatorConfig(k_inf_mode="bogus")
-        with pytest.raises(UsageError):
-            EstimatorConfig(kappa_scale_mode="bogus")
         with pytest.raises(UsageError):
             EstimatorConfig(k_inf_mode="known")  # value required

@@ -22,7 +22,7 @@ from covlab import (
     summarize,
     trial_seed,
 )
-from covlab.experiments import SUMMARY_HEADER, TRIAL_HEADER
+from covlab.experiments import SUMMARY_HEADER, TRIAL_HEADER, kernel_for
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -77,6 +77,13 @@ class TestTrialSeeds:
         assert tuple(trial_seed(_cfg(base_seed=1), 0, 0, 0)) != tuple(
             trial_seed(_cfg(base_seed=2), 0, 0, 0)
         )
+
+
+class TestKernelNames:
+    @pytest.mark.parametrize("name", ["bogus", "pwc"])
+    def test_unknown_name_is_a_usage_error(self, name):
+        with pytest.raises(UsageError, match=repr(name)):
+            kernel_for(name, 0.1, 1.5, 0.4)
 
 
 class TestRunTrial:
@@ -154,6 +161,25 @@ class TestRunSweep:
         seq = run_sweep(cfg, threads=1)
         par = run_sweep(cfg, threads=4)
         assert seq.records == par.records
+
+    def test_growing_the_grid_never_moves_a_trial(self, tmp_path):
+        small = _cfg(
+            kernels=(KernelTemplate("se"), KernelTemplate("permuted")),
+            lambda_grid=(0.05, 0.2),
+            L=32,
+        )
+        grown = _cfg(
+            kernels=small.kernels + (KernelTemplate("matern"),),
+            lambda_grid=small.lambda_grid + (0.1,),
+            L=32,
+        )
+        rows = {}
+        for name, cfg in (("small", small), ("grown", grown)):
+            path = tmp_path / f"{name}.csv"
+            emit_csv(list(run_sweep(cfg).records), path, kind="trials")
+            rows[name] = path.read_text().splitlines()[1:]
+        assert len(rows["small"]) == 2 * 2 * 2 and len(rows["grown"]) == 3 * 3 * 2
+        assert set(rows["small"]) <= set(rows["grown"])
 
     def test_threaded_progress_streams_before_the_pool_drains(self, monkeypatch):
         # The last trial waits for a progress line before it finishes.  A

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covlab import (
     CovMatrix,
@@ -197,6 +199,23 @@ class TestDiscretize:
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(UsageError):
             CovMatrix(entries=bad, grid_h=0.5)
+
+
+_LENGTHSCALES = st.floats(0.01, 2.0)
+_STATIONARY = st.one_of(
+    st.builds(SquaredExponential, _LENGTHSCALES),
+    st.builds(Matern, _LENGTHSCALES, st.sampled_from((0.5, 1.5, 2.5))),
+    st.builds(Periodic, _LENGTHSCALES, st.floats(0.05, 2.0)),
+)
+
+
+@given(spec=_STATIONARY, d=st.sampled_from((1, 2)), L=st.integers(2, 7))
+def test_eval_kernel_is_bitwise_the_discretized_entry(spec, d, L):
+    g = build_grid(d, L)
+    C = discretize(spec, g)
+    for i in range(g.n):
+        for j in range(g.n):
+            assert eval_kernel(spec, g.points[i], g.points[j]) == C.entries[i, j]
 
 
 class TestPiecewiseConstant:

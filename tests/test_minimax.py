@@ -151,19 +151,15 @@ class TestLinkedBandedFamilies:
 def _tails_by_definition(spec, theta, r_eff):
     """Every tail_* value recomputed cell by cell with scalar arithmetic.
 
-    tail at m: the largest, over the rows that carry a set bit or a link, of
-    the sum of |Sigma_ij| / r over the cells j whose farthest point from cell
-    i lies at least m * r_eff^(-1/d) away.
+    tail at m: the largest, over every row i, of the sum of |Sigma_ij| / r
+    over the cells j whose farthest point from cell i lies at least
+    m * r_eff^(-1/d) away.
     """
     build = build_f2_banded if spec.kind == "f2" else build_f3_banded
     Sigma = build(spec, theta)
     r, S, d = spec.r, spec.S, spec.d
     coords = [tuple(int(c) for c in np.unravel_index(j, (S,) * d)) for j in range(r)]
-    set_cells = {cell for bit, cell in zip(theta.bits, spec.active_cells()) if bit}
-    rows = [
-        i for i in range(r)
-        if coords[i] in set_cells or any(Sigma[i, j] != 0.0 for j in range(r) if j != i)
-    ]
+    rows = range(r)
     supdist = {
         (i, j): math.sqrt(sum(((abs(a - b) + 1) / S) ** 2 for a, b in zip(coords[j], coords[i])))
         for i in rows for j in range(r)
@@ -199,6 +195,14 @@ class TestBandingTails:
             measured = {c.name: c.measured for c in report.checks}
             tails = {k: v for k, v in measured.items() if k.startswith("tail_")}
             assert tails == _tails_by_definition(spec, theta, measured["r_eff_lower"])
+
+    def test_zero_member_tail_counts_the_diagonal(self):
+        # Each cell's farthest point from itself lies sqrt(2)/8 away, beyond
+        # the m=1 radius 1/8, so every row of the identity carries 1/r there.
+        spec = BandedFamilySpec(kind="f3", r=64, N=100_000, d=2, nu=_nu_table())
+        report = certify_banded_membership(spec, ThetaIndex(bits=(0,) * spec.gamma_N))
+        measured = {c.name: c.measured for c in report.checks}
+        assert measured["tail_bound_m1"] == 1.0 / 64
 
 
 class TestSparseFamily:
