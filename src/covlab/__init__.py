@@ -41,7 +41,6 @@ from .diagnostics import (
     spectral_norm,
 )
 from .estimators import (
-    EstimatorConfig,
     adaptive_threshold,
     choose_kappa,
     taper_estimate,

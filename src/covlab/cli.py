@@ -25,14 +25,15 @@ from .diagnostics import (
     m_star,
     operator_quantities,
 )
-from .estimators import EstimatorConfig
 from .experiments import (
     KERNEL_NAMES,
+    NU_SOURCES,
     ExperimentConfig,
     KernelTemplate,
     TRIAL_HEADER,
     build_prep,
     emit_csv,
+    format_value,
     kernel_for,
     nu_for,
     run_sweep,
@@ -63,20 +64,22 @@ __all__ = ["main"]
 _DIAG_KERNELS = KERNEL_NAMES + ("pwc",)
 _PWC_CELLS = 10  # the pwc diagnostic uses a fixed identity lift of this size
 
-# Flat config registry: key -> (type tag, default).  None means "required".
+# Flat config registry: key -> (type tag, default).  None means "required";
+# every other default is the one of the dataclass field the key sets.  Each
+# sweep.* key sets the ExperimentConfig field of the same name.
 _CONFIG_KEYS = {
     "kernel.list": ("strlist", None),
     "kernel.nu_list": ("strlist", ()),
-    "kernel.matern_smoothness": ("float", 1.5),
-    "kernel.periodic_period": ("float", 0.4),
+    "kernel.matern_smoothness": ("float", KernelTemplate.smoothness),
+    "kernel.periodic_period": ("float", KernelTemplate.period),
     "sweep.lambda_grid": ("floatlist", None),
-    "sweep.trials": ("int", 30),
-    "sweep.L": ("int", 1250),
-    "sweep.d": ("int", 1),
-    "sweep.n_mult": ("float", 5.0),
-    "sweep.base_seed": ("int", 0),
-    "sweep.norm_tol": ("float", 1e-6),
-    "estimator.c0": ("float", 2.0),
+    "sweep.trials": ("int", ExperimentConfig.trials),
+    "sweep.L": ("int", ExperimentConfig.L),
+    "sweep.d": ("int", ExperimentConfig.d),
+    "sweep.n_mult": ("float", ExperimentConfig.n_mult),
+    "sweep.base_seed": ("int", ExperimentConfig.base_seed),
+    "sweep.norm_tol": ("float", ExperimentConfig.norm_tol),
+    "estimator.c0": ("float", ExperimentConfig.c0),
 }
 
 
@@ -132,20 +135,10 @@ def _resolve_seed(flag_value: int) -> int:
     return seed
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(_fmt_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _print_resolved(pairs) -> None:
     print("# resolved config")
     for key in sorted(dict(pairs)):
-        print(f"{key}={_fmt_value(dict(pairs)[key])}")
+        print(f"{key}={format_value(dict(pairs)[key])}")
 
 
 # ----------------------------------------------------------- diagnose ----
@@ -158,10 +151,10 @@ def cmd_diagnose(args) -> int:
         ("diagnose.lambda", args.lam),
         ("diagnose.L", args.L),
         ("diagnose.d", args.d),
-        ("diagnose.q", args.q if args.q is not None else "na"),
+        ("diagnose.q", args.q),
         ("diagnose.mc_samples", args.mc_samples),
-        ("diagnose.nu", args.nu if args.nu is not None else "default"),
-        ("diagnose.N", args.N if args.N is not None else "na"),
+        ("diagnose.nu", args.nu),
+        ("diagnose.N", args.N),
         ("diagnose.seed", seed),
     ])
     grid = build_grid(args.d, args.L)
@@ -183,7 +176,7 @@ def cmd_diagnose(args) -> int:
         g2, g2_se = gamma2(factor, grid, args.mc_samples, seed)
     ms = es = None
     if args.N is not None:
-        nu = nu_for(args.kernel, args.nu or "default", args.d, KernelTemplate.smoothness)
+        nu = nu_for(args.kernel, args.nu, args.d, KernelTemplate.smoothness)
         ms = m_star(nu, args.N, args.d)
         es = eps_star(nu, args.N, args.d)
     report = DiagnosticReport(
@@ -209,9 +202,7 @@ def _merged_sweep_config(args) -> dict:
 
 def _experiment_config(merged: dict) -> ExperimentConfig:
     names = merged["kernel.list"]
-    nus = merged["kernel.nu_list"]
-    if not nus:
-        nus = tuple("default" for _ in names)
+    nus = merged["kernel.nu_list"] or (KernelTemplate.nu_source,) * len(names)
     if len(nus) != len(names):
         raise UsageError(
             f"kernel.nu_list has {len(nus)} entries for {len(names)} kernels"
@@ -225,17 +216,8 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
         )
         for name, nu in zip(names, nus)
     )
-    return ExperimentConfig(
-        kernels=kernels,
-        lambda_grid=merged["sweep.lambda_grid"],
-        L=merged["sweep.L"],
-        d=merged["sweep.d"],
-        trials=merged["sweep.trials"],
-        n_mult=merged["sweep.n_mult"],
-        c0=merged["estimator.c0"],
-        base_seed=merged["sweep.base_seed"],
-        norm_tol=merged["sweep.norm_tol"],
-    )
+    sweep = {k[len("sweep."):]: v for k, v in merged.items() if k.startswith("sweep.")}
+    return ExperimentConfig(kernels=kernels, c0=merged["estimator.c0"], **sweep)
 
 
 def _parse_threads(raw: str) -> int:
@@ -387,12 +369,12 @@ def cmd_estimate(args) -> int:
         ("estimate.N", args.N),
         ("estimate.estimator", args.estimator),
         ("estimate.seed", seed),
-        ("estimate.dump_matrices", args.dump_matrices or "na"),
+        ("estimate.dump_matrices", args.dump_matrices),
     ])
     prep = build_prep(KernelTemplate(name=args.kernel), args.lam, args.L, args.d, args.N, tol=1e-9)
     shuffle_seed = int(np.random.SeedSequence((seed, 1)).generate_state(1, np.uint64)[0])
     estimators = ("taper", "threshold") if args.estimator == "all" else (args.estimator,)
-    record, matrices = simulate_trial(prep, seed, shuffle_seed, EstimatorConfig().c0, estimators)
+    record, matrices = simulate_trial(prep, seed, shuffle_seed, ExperimentConfig.c0, estimators)
     print(TRIAL_HEADER)
     print(",".join(trial_row(record)))
 
@@ -421,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0)
-    p.add_argument("--nu", choices=("se", "exp", "numeric"), default=None)
+    p.add_argument("--nu", choices=NU_SOURCES, default=KernelTemplate.nu_source)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_diagnose)

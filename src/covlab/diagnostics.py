@@ -56,19 +56,18 @@ def spectral_norm(
     tol: float = 1e-9,
     *,
     method: str = "auto",
-    seed: int = _LANCZOS_SEED,
 ) -> float:
     """Matrix spectral norm (largest |eigenvalue|) of a symmetric matrix.
 
     The iterative path is ARPACK's implicitly restarted Lanczos (``eigsh``,
     k=1, largest magnitude) at relative residual ``tol``, started from the
     ones vector plus a small perturbation drawn from a counter-based
-    generator keyed by (seed, n), so repeated calls are bit-reproducible.
-    The ones direction starts the iteration close to the top eigenvector of
-    a smooth covariance; the perturbation keeps it from missing a top
-    eigenvector orthogonal to ones.  It solves densely only if ARPACK does
-    not converge within max(10, n/160) restarts, so the tolerance contract
-    always holds.
+    generator keyed by (_LANCZOS_SEED, n), so repeated calls are
+    bit-reproducible.  The ones direction starts the iteration close to the
+    top eigenvector of a smooth covariance; the perturbation keeps it from
+    missing a top eigenvector orthogonal to ones.  It solves densely only if
+    ARPACK does not converge within max(10, n/160) restarts, so the
+    tolerance contract always holds.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -91,7 +90,7 @@ def spectral_norm(
     # The iteration assumes exact symmetry; fold in any last-bit asymmetry.
     if asym != 0.0:
         A = (A + A.T) / 2.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, n))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((_LANCZOS_SEED, n))))
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
     # A tightly clustered top of the spectrum can keep ARPACK restarting for
     # thousands of matvecs, where a dense solve costs a few hundred at

@@ -8,50 +8,20 @@ threshold level from the empirical supremum of the sample paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import UsageError
 from .diagnostics import NuSequence, m_star
 from .grid_kernel import CovMatrix, Grid, taper_weight_matrix
-from .sampling import SampleSet, sample_cov
+from .sampling import SampleSet
 
 __all__ = [
-    "EstimatorConfig",
     "taper_estimate",
     "threshold_estimate",
     "choose_kappa",
     "adaptive_threshold",
 ]
-
-_K_INF_MODES = ("known", "plugin_max_diag")
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Tuning constants for the data-driven selection rules.
-
-    c0 scales the threshold level; theory wants c0 <= sqrt(N) at use time,
-    which is not enforced here (tiny-N calls are still well defined, they
-    just threshold aggressively).  k_inf_mode picks the sup-kernel proxy:
-    a known constant or the largest sample variance (default).
-    """
-
-    c0: float = 2.0
-    k_inf_mode: str = "plugin_max_diag"
-    k_inf_value: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not self.c0 > 0:
-            raise UsageError(f"c0 must be > 0, got {self.c0}")
-        if self.k_inf_mode not in _K_INF_MODES:
-            raise UsageError(
-                f"k_inf_mode must be one of {_K_INF_MODES}, got {self.k_inf_mode!r}"
-            )
-        if self.k_inf_mode == "known" and self.k_inf_value is None:
-            raise UsageError("k_inf_mode 'known' needs k_inf_value")
 
 
 def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
@@ -89,24 +59,20 @@ def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:
     return m_star(nu, N, d) * scale
 
 
-def _resolve_k_inf(S: SampleSet, cfg: EstimatorConfig) -> float:
-    if cfg.k_inf_mode == "known":
-        value = float(cfg.k_inf_value)
-    else:  # plugin_max_diag
-        value = float(np.max(np.diag(sample_cov(S).entries)))
-    if value < 0:
-        raise UsageError(f"resolved sup-kernel value is negative: {value}")
-    return value
-
-
-def adaptive_threshold(S: SampleSet, cfg: EstimatorConfig) -> float:
+def adaptive_threshold(S: SampleSet, c0: float, k_inf: float) -> float:
     """Data-driven threshold level from the empirical path suprema.
 
     rho_hat = c0 * sqrt(k_inf / N) * mean over samples of the signed maximum
-    grid value of each path.  The result can be negative for pathological
+    grid value of each path, where k_inf is the sup-kernel value (a trial
+    passes the largest sample variance).  Theory wants c0 <= sqrt(N), which
+    is not enforced here: tiny-N calls are still well defined, they just
+    threshold aggressively.  The result can be negative for pathological
     draws (every path entirely below zero); callers that feed it to
     threshold_estimate will then see the level rejected.
     """
-    k_inf = _resolve_k_inf(S, cfg)
+    if not c0 > 0:
+        raise UsageError(f"c0 must be > 0, got {c0}")
+    if k_inf < 0:
+        raise UsageError(f"sup-kernel value must be >= 0, got {k_inf}")
     maxima = S.paths.max(axis=1)
-    return cfg.c0 * math.sqrt(k_inf) / math.sqrt(S.N) * float(np.mean(maxima))
+    return c0 * math.sqrt(k_inf) / math.sqrt(S.N) * float(np.mean(maxima))

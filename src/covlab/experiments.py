@@ -12,7 +12,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import scipy.stats
 
 from .errors import UsageError
 from .diagnostics import NuSequence, operator_quantities, spectral_norm
-from .estimators import EstimatorConfig, adaptive_threshold, choose_kappa, taper_estimate, threshold_estimate
+from .estimators import adaptive_threshold, choose_kappa, taper_estimate, threshold_estimate
 from .grid_kernel import (
     CovMatrix,
     Grid,
@@ -41,6 +41,7 @@ __all__ = [
     "SummaryRow",
     "SweepResult",
     "KERNEL_NAMES",
+    "NU_SOURCES",
     "TRIAL_HEADER",
     "SUMMARY_HEADER",
     "n_for_lambda",
@@ -53,6 +54,7 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "summarize",
+    "format_value",
     "trial_row",
     "emit_csv",
     "load_trials",
@@ -68,10 +70,7 @@ _KERNELS = {
     "permuted": lambda lam, smoothness, period: SquaredExponential(lengthscale=lam),
 }
 KERNEL_NAMES = tuple(_KERNELS)
-_NU_SOURCES = ("default", "se", "exp", "numeric")
-
-TRIAL_HEADER = "kernel,lambda,d,L,N,trial,seed,kappa,rho_hat,err_sample,err_taper,err_thresh"
-SUMMARY_HEADER = "kernel,lambda,N,trials,mean_sample,ci_sample,mean_taper,ci_taper,mean_thresh,ci_thresh"
+NU_SOURCES = ("default", "se", "exp", "numeric")
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,9 @@ class KernelTemplate:
             raise UsageError(
                 f"kernel must be one of {KERNEL_NAMES}, got {self.name!r}"
             )
-        if self.nu_source not in _NU_SOURCES:
+        if self.nu_source not in NU_SOURCES:
             raise UsageError(
-                f"nu_source must be one of {_NU_SOURCES}, got {self.nu_source!r}"
+                f"nu_source must be one of {NU_SOURCES}, got {self.nu_source!r}"
             )
 
 
@@ -157,7 +156,7 @@ class TrialRecord:
     err_sample: float
     err_taper: Optional[float]
     err_thresh: Optional[float]
-    r_eff: float  # of the true discretized kernel; not persisted to CSV
+    r_eff: float = math.nan  # of the true discretized kernel; not persisted to CSV
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,31 @@ class SummaryRow:
     ci_taper: Optional[float]
     mean_thresh: float
     ci_thresh: Optional[float]
+
+
+def _columns(record_type) -> tuple:
+    """(field, parser) of each CSV column of a record type, in field order.
+
+    The parser follows the field's annotation, a string under postponed
+    evaluation: str, int, or float for every other (optional) number.
+    """
+    return tuple(
+        (f.name, {"str": str, "int": int}.get(f.type, float))
+        for f in fields(record_type) if f.name != "r_eff"
+    )
+
+
+def _header(columns) -> list:
+    return ["lambda" if name == "lam" else name for name, _ in columns]
+
+
+# CSV kind -> (record type, its columns, row order).
+_CSV_KINDS = {
+    "trials": (TrialRecord, _columns(TrialRecord), lambda r: (r.kernel, r.lam, r.trial)),
+    "summary": (SummaryRow, _columns(SummaryRow), lambda r: (r.kernel, r.lam)),
+}
+TRIAL_HEADER = ",".join(_header(_CSV_KINDS["trials"][1]))
+SUMMARY_HEADER = ",".join(_header(_CSV_KINDS["summary"][1]))
 
 
 @dataclass(frozen=True)
@@ -282,10 +306,7 @@ def simulate_trial(
     if "threshold" in estimators:
         # The plugin sup-kernel value is the largest sample variance, read
         # off the Gram built above instead of a second one.
-        k_inf = float(np.max(np.diag(Chat.entries)))
-        rho_hat = adaptive_threshold(
-            S, EstimatorConfig(c0=c0, k_inf_mode="known", k_inf_value=k_inf)
-        )
+        rho_hat = adaptive_threshold(S, c0, float(np.max(np.diag(Chat.entries))))
         # The signed-sup mean can go negative at tiny N; keep-if |entry| >=
         # level then keeps every entry, so the estimate coincides with level
         # zero.  The record still carries the raw level.
@@ -404,40 +425,39 @@ def summarize(records: Sequence[TrialRecord]) -> list:
             raise UsageError(
                 f"group kernel={kernel} lambda={lam!r} mixes sample counts {sorted(Ns)}"
             )
-        means = {}
-        cis = {}
-        for field in ("err_sample", "err_taper", "err_thresh"):
-            vals = np.array([getattr(r, field) for r in recs], dtype=np.float64)
-            means[field] = float(np.mean(vals))
-            if T < 2:
-                cis[field] = None
-            else:
-                half = scipy.stats.t.ppf(0.975, T - 1) * float(np.std(vals, ddof=1)) / math.sqrt(T)
-                cis[field] = float(half)
-        rows.append(SummaryRow(
-            kernel=kernel, lam=lam, N=Ns.pop(), trials=T,
-            mean_sample=means["err_sample"], ci_sample=cis["err_sample"],
-            mean_taper=means["err_taper"], ci_taper=cis["err_taper"],
-            mean_thresh=means["err_thresh"], ci_thresh=cis["err_thresh"],
-        ))
+        stats = {}
+        # The estimators' fields: err_* in a TrialRecord, mean_* and ci_* here.
+        for suffix in ("sample", "taper", "thresh"):
+            vals = np.array([getattr(r, f"err_{suffix}") for r in recs], dtype=np.float64)
+            stats[f"mean_{suffix}"] = float(np.mean(vals))
+            stats[f"ci_{suffix}"] = None if T < 2 else float(
+                scipy.stats.t.ppf(0.975, T - 1) * float(np.std(vals, ddof=1)) / math.sqrt(T)
+            )
+        rows.append(SummaryRow(kernel=kernel, lam=lam, N=Ns.pop(), trials=T, **stats))
     rows.sort(key=lambda r: (r.kernel, r.lam))
     return rows
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Shortest round-trip text of a CSV or resolved-config value; None is 'na'."""
     if value is None:
         return "na"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
     return str(value)
+
+
+def _cells(row, columns) -> list:
+    return [format_value(getattr(row, name)) for name, _ in columns]
 
 
 def trial_row(rec: TrialRecord) -> list:
     """A record's trials-CSV fields as strings; missing values read 'na'."""
-    return [_fmt(v) for v in (
-        rec.kernel, rec.lam, rec.d, rec.L, rec.N, rec.trial, rec.seed,
-        rec.kappa, rec.rho_hat, rec.err_sample, rec.err_taper, rec.err_thresh,
-    )]
+    return _cells(rec, _CSV_KINDS["trials"][1])
 
 
 def emit_csv(rows: Sequence, path, kind: Optional[str] = None) -> None:
@@ -450,58 +470,36 @@ def emit_csv(rows: Sequence, path, kind: Optional[str] = None) -> None:
         if not rows:
             raise UsageError("emit_csv needs an explicit kind for an empty row list")
         kind = "trials" if isinstance(rows[0], TrialRecord) else "summary"
-    if kind not in ("trials", "summary"):
+    if kind not in _CSV_KINDS:
         raise UsageError(f"kind must be 'trials' or 'summary', got {kind!r}")
+    _, columns, order = _CSV_KINDS[kind]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if kind == "trials":
-            writer.writerow(TRIAL_HEADER.split(","))
-            for rec in sorted(rows, key=lambda r: (r.kernel, r.lam, r.trial)):
-                writer.writerow(trial_row(rec))
-        else:
-            writer.writerow(SUMMARY_HEADER.split(","))
-            for row in sorted(rows, key=lambda r: (r.kernel, r.lam)):
-                writer.writerow([
-                    row.kernel, _fmt(row.lam), row.N, row.trials,
-                    _fmt(row.mean_sample), _fmt(row.ci_sample),
-                    _fmt(row.mean_taper), _fmt(row.ci_taper),
-                    _fmt(row.mean_thresh), _fmt(row.ci_thresh),
-                ])
+        writer.writerow(_header(columns))
+        for row in sorted(rows, key=order):
+            writer.writerow(_cells(row, columns))
+
+
+def _load(path, kind: str) -> list:
+    record_type, columns, _ = _CSV_KINDS[kind]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _header(columns):
+            raise UsageError(f"unexpected {kind} header in {path}")
+        return [
+            record_type(**{
+                name: None if raw == "na" else parse(raw)
+                for (name, parse), raw in zip(columns, row)
+            })
+            for row in reader if row
+        ]
 
 
 def load_trials(path) -> list:
-    """Parse a trials CSV back to records (r_eff is not persisted: NaN)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRIAL_HEADER.split(","):
-            raise UsageError(f"unexpected trials header in {path}")
-        for row in reader:
-            out.append(TrialRecord(
-                kernel=row["kernel"], lam=float(row["lambda"]), d=int(row["d"]),
-                L=int(row["L"]), N=int(row["N"]), trial=int(row["trial"]),
-                seed=int(row["seed"]), kappa=float(row["kappa"]),
-                rho_hat=float(row["rho_hat"]), err_sample=float(row["err_sample"]),
-                err_taper=float(row["err_taper"]), err_thresh=float(row["err_thresh"]),
-                r_eff=math.nan,
-            ))
-    return out
+    """Parse a trials CSV back to records ('na' reads None; r_eff is NaN)."""
+    return _load(path, "trials")
 
 
 def load_summaries(path) -> list:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SUMMARY_HEADER.split(","):
-            raise UsageError(f"unexpected summary header in {path}")
-        for row in reader:
-            def ci(name):
-                return None if row[name] == "na" else float(row[name])
-            out.append(SummaryRow(
-                kernel=row["kernel"], lam=float(row["lambda"]), N=int(row["N"]),
-                trials=int(row["trials"]),
-                mean_sample=float(row["mean_sample"]), ci_sample=ci("ci_sample"),
-                mean_taper=float(row["mean_taper"]), ci_taper=ci("ci_taper"),
-                mean_thresh=float(row["mean_thresh"]), ci_thresh=ci("ci_thresh"),
-            ))
-    return out
+    """Parse a summary CSV back to rows ('na' reads None)."""
+    return _load(path, "summary")

@@ -55,6 +55,14 @@ class TestDiagnose:
         assert "gamma1.q0.5=" in out
         assert "gamma2=" in out and "gamma2_se=" in out
 
+    def test_nu_default_prints_the_report_without_nu(self, capsys):
+        argv = ["diagnose", "--kernel", "se", "--lambda", "0.05", "--L", "64", "--N", "100"]
+        code, plain, _ = _run(capsys, argv)
+        assert code == 0
+        code, named, _ = _run(capsys, argv + ["--nu", "default"])
+        assert code == 0
+        assert named == plain
+
     def test_one_spectral_norm_per_report(self, capsys, monkeypatch):
         calls = []
         norm = covlab.diagnostics.spectral_norm

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import covlab.diagnostics
 
@@ -131,6 +133,55 @@ class TestSpectralNorm:
         dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
         assert spectral_norm(A, method="lanczos") == dense
         assert spectral_norm(A, method="auto") == dense
+
+
+def _planted_top(rng, n, top, cluster, gap, orthogonal_to_ones, bulk=0.5):
+    """Symmetric n x n matrix whose `cluster` largest-magnitude eigenvalues
+    lie within relative `gap` of `top`; the rest lie in (-bulk, bulk) * |top|.
+
+    With orthogonal_to_ones the top eigenvectors are orthogonal to the ones
+    vector, and ones itself is an eigenvector at 0.9 * top.
+    """
+    G = rng.standard_normal((n, cluster + 1))
+    if orthogonal_to_ones:
+        G[:, 0] = 1.0
+    V, _ = np.linalg.qr(G)
+    values = top * (1.0 - gap * np.arange(cluster) / max(cluster - 1, 1))
+    V, values = (V, np.append(0.9 * top, values)) if orthogonal_to_ones else (V[:, 1:], values)
+    # The bulk is a diagonal matrix D projected off the planted directions.
+    D = rng.uniform(-bulk, bulk, n) * abs(top)
+    DV = D[:, None] * V
+    A = np.diag(D) - V @ DV.T - DV @ V.T + V @ (V.T @ DV) @ V.T + (V * values) @ V.T
+    return (A + A.T) / 2.0
+
+
+@pytest.mark.parametrize("orthogonal_to_ones", [False, True], ids=["clustered", "orthogonal"])
+@given(
+    n=st.integers(257, 600),
+    cluster=st.integers(2, 8),
+    gap=st.floats(1e-9, 1e-4),
+    top=st.sampled_from((-3.0, 1.0, 40.0)),
+    tol=st.sampled_from((1e-6, 1e-9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_matches_dense_on_planted_tops(
+    orthogonal_to_ones, n, cluster, gap, top, tol, seed
+):
+    A = _planted_top(np.random.default_rng(seed), n, top, cluster, gap, orthogonal_to_ones)
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    assert abs(spectral_norm(A, tol=tol) - dense) <= 10 * tol * dense
+
+
+@pytest.mark.xfail(strict=False, reason=(
+    "known defect: ARPACK accepts a converged Ritz pair of the second cluster "
+    "member when the start vector carries little of the first"
+))
+def test_two_member_top_over_a_wide_bulk():
+    # A bulk reaching 0.9 |top| slows the separation of a two-member cluster;
+    # here spectral_norm returns the second member, 7.4e-5 relative below.
+    A = _planted_top(np.random.default_rng(257), 257, -3.0, 2, 7.416935469683317e-05, False, 0.9)
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    assert abs(spectral_norm(A, tol=1e-6) - dense) <= 10 * 1e-6 * dense
 
 
 class TestOperatorQuantities:

@@ -7,14 +7,12 @@ import pytest
 
 from covlab import (
     CovMatrix,
-    EstimatorConfig,
     NuSequence,
     SampleSet,
     UsageError,
     adaptive_threshold,
     build_grid,
     choose_kappa,
-    sample_cov,
     taper_estimate,
     taper_weight,
     threshold_estimate,
@@ -156,61 +154,32 @@ class TestChooseKappa:
 class TestAdaptiveThreshold:
     def test_zero_paths_give_zero(self):
         S = SampleSet(paths=np.zeros((3, 5)), seed=0, grid_h=0.2)
-        cfg = EstimatorConfig(k_inf_mode="known", k_inf_value=1.0)
-        assert adaptive_threshold(S, cfg) == 0.0
+        assert adaptive_threshold(S, 2.0, 1.0) == 0.0
 
     def test_single_path_worked_example(self):
         S = SampleSet(paths=np.array([[0.5, 2.0, -1.0]]), seed=0, grid_h=1 / 3)
-        cfg = EstimatorConfig(c0=2.0, k_inf_mode="known", k_inf_value=1.0)
         # c0 * sqrt(k_inf) / sqrt(N) * mean of per-path maxima = 2 * 1 * 2 / 1
-        assert adaptive_threshold(S, cfg) == pytest.approx(4.0)
+        assert adaptive_threshold(S, 2.0, 1.0) == pytest.approx(4.0)
 
     def test_signed_supremum_can_go_negative(self):
         S = SampleSet(paths=np.array([[-3.0, -1.0]]), seed=0, grid_h=0.5)
-        cfg = EstimatorConfig(c0=1.0, k_inf_mode="known", k_inf_value=1.0)
-        assert adaptive_threshold(S, cfg) == pytest.approx(-1.0)
+        assert adaptive_threshold(S, 1.0, 1.0) == pytest.approx(-1.0)
 
     def test_homogeneity_with_known_k_inf(self):
         rng = np.random.default_rng(5)
         paths = rng.standard_normal((6, 8))
-        cfg = EstimatorConfig(c0=2.0, k_inf_mode="known", k_inf_value=1.0)
-        base = adaptive_threshold(SampleSet(paths=paths, seed=0, grid_h=1 / 8), cfg)
+        base = adaptive_threshold(SampleSet(paths=paths, seed=0, grid_h=1 / 8), 2.0, 1.0)
         doubled = adaptive_threshold(
-            SampleSet(paths=2.0 * paths, seed=0, grid_h=1 / 8), cfg
+            SampleSet(paths=2.0 * paths, seed=0, grid_h=1 / 8), 2.0, 1.0
         )
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_plugin_mode_scales_like_the_covariance(self):
-        rng = np.random.default_rng(6)
-        paths = rng.standard_normal((6, 8))
-        cfg = EstimatorConfig(c0=2.0, k_inf_mode="plugin_max_diag")
-        base = adaptive_threshold(SampleSet(paths=paths, seed=0, grid_h=1 / 8), cfg)
-        scaled = adaptive_threshold(
-            SampleSet(paths=2.0 * paths, seed=0, grid_h=1 / 8), cfg
-        )
-        assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-
-    def test_plugin_max_diag_uses_sample_covariance_diagonal(self):
-        rng = np.random.default_rng(7)
-        paths = rng.standard_normal((5, 6))
-        S = SampleSet(paths=paths, seed=0, grid_h=1 / 6)
-        k_inf = float(np.max(np.diag(sample_cov(S).entries)))
-        cfg = EstimatorConfig(c0=1.5, k_inf_mode="plugin_max_diag")
-        want = 1.5 * math.sqrt(k_inf) / math.sqrt(5) * paths.max(axis=1).mean()
-        assert adaptive_threshold(S, cfg) == pytest.approx(want, rel=1e-12)
-
     def test_negative_known_value_rejected(self):
         S = SampleSet(paths=np.ones((2, 3)), seed=0, grid_h=1 / 3)
-        cfg = EstimatorConfig(k_inf_mode="known", k_inf_value=-1.0)
         with pytest.raises(UsageError):
-            adaptive_threshold(S, cfg)
+            adaptive_threshold(S, 2.0, -1.0)
 
-
-class TestEstimatorConfig:
-    def test_rejects_bad_fields(self):
+    def test_nonpositive_c0_rejected(self):
+        S = SampleSet(paths=np.ones((2, 3)), seed=0, grid_h=1 / 3)
         with pytest.raises(UsageError):
-            EstimatorConfig(c0=0.0)
-        with pytest.raises(UsageError):
-            EstimatorConfig(k_inf_mode="bogus")
-        with pytest.raises(UsageError):
-            EstimatorConfig(k_inf_mode="known")  # value required
+            adaptive_threshold(S, 0.0, 1.0)

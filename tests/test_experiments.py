@@ -1,5 +1,6 @@
 """Sweep harness: seeding, trial runs, aggregation, and CSV round trips."""
 
+import dataclasses
 import math
 import threading
 
@@ -212,11 +213,11 @@ class TestRunSweep:
         real = expmod.adaptive_threshold
         calls = {"n": 0}
 
-        def flaky(S, ecfg):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise ValueError("synthetic trial failure")
-            return real(S, ecfg)
+            return real(*args)
 
         monkeypatch.setattr(expmod, "adaptive_threshold", flaky)
         result = run_sweep(cfg)
@@ -279,19 +280,27 @@ class TestCsv:
     def test_trial_round_trip_is_exact(self, tmp_path):
         cfg = _cfg(trials=3)
         records = run_sweep(cfg).records
-        path = tmp_path / "trials.csv"
-        emit_csv(records, path)
-        text = path.read_text()
-        assert text.splitlines()[0] == TRIAL_HEADER
-        loaded = load_trials(path)
-        for got, want in zip(loaded, records):
-            for field in (
-                "kernel", "lam", "d", "L", "N", "trial", "seed", "kappa",
-                "rho_hat", "err_sample", "err_taper", "err_thresh",
-            ):
-                assert getattr(got, field) == getattr(want, field)
-        # the persisted schema intentionally omits the derived r_eff column
-        assert all(math.isnan(r.r_eff) for r in loaded)
+        # Estimators that did not run leave None, written 'na' and read back as None.
+        not_run = [
+            dataclasses.replace(r, rho_hat=None, err_taper=None, err_thresh=None)
+            for r in records
+        ]
+        for rows in (records, not_run):
+            path = tmp_path / "trials.csv"
+            emit_csv(rows, path)
+            text = path.read_text()
+            assert text.splitlines()[0] == TRIAL_HEADER
+            loaded = load_trials(path)
+            assert len(loaded) == len(rows)
+            for got, want in zip(loaded, rows):
+                for field in (
+                    "kernel", "lam", "d", "L", "N", "trial", "seed", "kappa",
+                    "rho_hat", "err_sample", "err_taper", "err_thresh",
+                ):
+                    assert getattr(got, field) == getattr(want, field)
+            # the persisted schema intentionally omits the derived r_eff column
+            assert all(math.isnan(r.r_eff) for r in loaded)
+        assert text.count(",na") == 3 * len(not_run)
 
     def test_summary_round_trip(self, tmp_path):
         cfg = _cfg(trials=3)
