@@ -35,6 +35,7 @@ from .diagnostics import (
     gamma1,
     gamma2,
     kl_gaussian,
+    kl_gaussian_both,
     m_star,
     operator_quantities,
     rel_error,

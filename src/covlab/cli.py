@@ -301,6 +301,8 @@ def cmd_minimax_check(args) -> int:
     N = args.N if args.N is not None else def_n
     if family == "sparse" and args.tau is not None:
         raise UsageError("--tau applies to the banded families, not sparse")
+    if family != "f1" and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     tau = args.tau if args.tau is not None else def_tau
     seed = _resolve_seed(args.seed)
     resolved = [

@@ -41,6 +41,7 @@ __all__ = [
     "eps_star",
     "rel_error",
     "kl_gaussian",
+    "kl_gaussian_both",
     "DiagnosticReport",
 ]
 
@@ -303,35 +304,62 @@ def rel_error(Chat: CovMatrix, C: CovMatrix, *, tol: float = 1e-9) -> float:
     return spectral_norm(Chat.entries - C.entries, tol) / denom
 
 
-def kl_gaussian(S1: np.ndarray, S2: np.ndarray) -> float:
-    """KL divergence between centered Gaussians N(0, S1) and N(0, S2).
-
-    Computed as (Tr(S2^-1 S1) - n + logdet S2 - logdet S1) / 2 via a
-    Cholesky solve on S2.  A singular S1 gives +inf (no density).
+def _kl_directions(S1: np.ndarray, S2: np.ndarray) -> tuple:
+    """Both KL directions after kl_gaussian's input checks, S2 cleared to the
+    floor lambda_min > 1e-12 |lambda|_max; the reverse is None when S1 is not,
+    and a singular S1 gives (+inf, None).  Gershgorin discs bound S2's
+    spectrum to [lo, hi], hence S1's to [lam_min lo, lam_max hi]; a matrix is
+    solved on its own only when its bound cannot settle the floor.  Every
+    solve is scipy's: alternating with numpy's OpenBLAS stalls each switch.
     """
-    S1 = np.asarray(S1, dtype=np.float64)
-    S2 = np.asarray(S2, dtype=np.float64)
+    S1, S2 = (np.asarray(S, dtype=np.float64) for S in (S1, S2))
     if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
         raise UsageError(f"need square matrices of equal size, got {S1.shape} vs {S2.shape}")
     for name, S in (("S1", S1), ("S2", S2)):
         scale = float(np.max(np.abs(S)))
         if scale > 0 and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
             raise UsageError(f"{name} is not symmetric")
-    n = S1.shape[0]
-    e2 = np.linalg.eigvalsh((S2 + S2.T) / 2.0)
-    if e2[0] <= 1e-12 * max(abs(e2[0]), abs(e2[-1])):
-        raise UsageError("S2 must be positive definite for the KL formula")
-    chol2 = np.linalg.cholesky(S2)
-    trace_term = float(np.trace(scipy.linalg.cho_solve((chol2, True), S1)))
-    logdet2 = 2.0 * float(np.sum(np.log(np.diag(chol2))))
-    e1 = np.linalg.eigvalsh((S1 + S1.T) / 2.0)
-    scale1 = max(abs(e1[0]), abs(e1[-1]))
-    if e1[0] < -1e-12 * scale1:
-        raise UsageError("S1 must be positive semi-definite")
-    if e1[0] <= 0.0:
-        return math.inf
-    logdet1 = float(np.sum(np.log(e1)))
-    return max(0.5 * (trace_term - n + logdet2 - logdet1), 0.0)
+    S1, S2 = (S1 + S1.T) / 2.0, (S2 + S2.T) / 2.0
+    radius = np.abs(S2 - np.diag(np.diag(S2))).sum(axis=1)
+    lo, hi = float(np.min(np.diag(S2) - radius)), float(np.max(np.diag(S2) + radius))
+    if not (lo > 0.0 and lo > 1e-12 * hi):
+        e2 = scipy.linalg.eigvalsh(S2)
+        if e2[0] <= 1e-12 * max(abs(e2[0]), abs(e2[-1])):
+            raise UsageError("S2 must be positive definite for the KL formula")
+        lo, hi = float(e2[0]), float(e2[-1])
+    lam = scipy.linalg.eigh(S1, S2, eigvals_only=True)
+    s1_definite = bool(lam[0] > 0.0 and lam[0] * lo > 1e-12 * lam[-1] * hi)
+    if not s1_definite:
+        e1 = scipy.linalg.eigvalsh(S1)
+        scale1 = max(abs(e1[0]), abs(e1[-1]))
+        if e1[0] < -1e-12 * scale1:
+            raise UsageError("S1 must be positive semi-definite")
+        if e1[0] <= 0.0 or lam[0] <= 0.0:
+            return math.inf, None
+        s1_definite = bool(e1[0] > 1e-12 * scale1)
+    nu = lam - 1.0
+    log1p = np.log1p(nu)
+    reverse = max(0.5 * float(np.sum(log1p - nu / lam)), 0.0)
+    return max(0.5 * float(np.sum(nu - log1p)), 0.0), reverse if s1_definite else None
+
+
+def kl_gaussian(S1: np.ndarray, S2: np.ndarray) -> float:
+    """KL divergence between centered Gaussians N(0, S1) and N(0, S2).
+
+    One generalized eigensolve S1 v = lam S2 v gives both directions with no
+    trace cancelled against n: with nu = lam - 1, KL(S1 || S2) is
+    sum(nu - log1p nu) / 2 and KL(S2 || S1), which ``kl_gaussian_both`` also
+    returns, is sum(log1p nu - nu / lam) / 2.  A singular S1 gives +inf.
+    """
+    return _kl_directions(S1, S2)[0]
+
+
+def kl_gaussian_both(S1: np.ndarray, S2: np.ndarray) -> tuple:
+    """(KL(S1 || S2), KL(S2 || S1)) as in ``kl_gaussian``; S1 must clear S2's floor."""
+    forward, reverse = _kl_directions(S1, S2)
+    if reverse is None:
+        raise UsageError("S1 must be positive definite for the reverse KL formula")
+    return forward, reverse
 
 
 # ---------------------------------------------------------- reporting ----

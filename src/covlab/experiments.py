@@ -486,13 +486,17 @@ def _load(path, kind: str) -> list:
         reader = csv.reader(fh)
         if next(reader, None) != _header(columns):
             raise UsageError(f"unexpected {kind} header in {path}")
-        return [
-            record_type(**{
-                name: None if raw == "na" else parse(raw)
-                for (name, parse), raw in zip(columns, row)
-            })
-            for row in reader if row
-        ]
+        records = []
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(columns):
+                raise UsageError(f"{where}: expected {len(columns)} cells, got {len(row)}")
+            try:
+                records.append(record_type(**{name: None if raw == "na" else parse(raw)
+                                              for (name, parse), raw in zip(columns, row)}))
+            except ValueError as exc:
+                raise UsageError(f"{where}: {exc}") from None
+        return records
 
 
 def load_trials(path) -> list:

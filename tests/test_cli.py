@@ -350,6 +350,14 @@ class TestMinimaxCheck:
         assert code == 2
         assert "--tau" in err
 
+    @pytest.mark.parametrize("family", ["f2", "f3", "sparse"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_fewer_than_one_sample_exits_2(self, capsys, family, samples):
+        code, _, err = _run(capsys, ["minimax-check", "--class", family, "--samples", samples])
+        assert code == 2
+        assert f"--samples must be >= 1, got {samples}" in err
+        assert "Traceback" not in err
+
     def test_infeasible_spec_exits_2(self, capsys):
         # f3 needs r below the truncation cell count; huge r cannot fit
         code, _, err = _run(capsys, [

@@ -25,6 +25,7 @@ from covlab import (
     gamma1,
     gamma2,
     kl_gaussian,
+    kl_gaussian_both,
     m_star,
     operator_quantities,
     rel_error,
@@ -353,13 +354,27 @@ class TestKlGaussian:
         rng = np.random.default_rng(19)
         S1 = random_psd(rng, 3, jitter=0.3)
         S2 = random_psd(rng, 3, jitter=0.3)
-        inv2 = np.linalg.inv(S2)
-        want = 0.5 * (
-            np.trace(inv2 @ S1)
-            - 3
-            - math.log(np.linalg.det(S1) / np.linalg.det(S2))
-        )
+        inv1, inv2 = np.linalg.inv(S1), np.linalg.inv(S2)
+        log_ratio = math.log(np.linalg.det(S1) / np.linalg.det(S2))
+        want = 0.5 * (np.trace(inv2 @ S1) - 3 - log_ratio)
+        want_reverse = 0.5 * (np.trace(inv1 @ S2) - 3 + log_ratio)
         assert kl_gaussian(S1, S2) == pytest.approx(want, rel=1e-10)
+        assert kl_gaussian_both(S1, S2) == pytest.approx((want, want_reverse), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 50, 256])
+    @pytest.mark.parametrize("nu", [1e-6, 1e-3, 0.5])
+    def test_rank_one_closed_form(self, nu, n):
+        # S1 = S2 + c u u^T has one relative eigenvalue 1 + nu, nu = c u^T S2^-1 u,
+        # and n - 1 equal to 1; a trace formula would cancel n against ~n.
+        rng = np.random.default_rng(n)
+        S2 = random_psd(rng, n, jitter=0.5)
+        u = rng.standard_normal(n)
+        c = nu / float(u @ np.linalg.solve(S2, u))
+        S1 = S2 + c * np.outer(u, u)
+        forward, reverse = kl_gaussian_both(S1, S2)
+        assert forward == pytest.approx(0.5 * (nu - math.log1p(nu)), rel=1e-8)
+        assert reverse == pytest.approx(0.5 * (math.log1p(nu) - nu / (1.0 + nu)), rel=1e-8)
+        assert kl_gaussian(S1, S2) == forward
 
     def test_nonnegative(self):
         rng = np.random.default_rng(20)
@@ -371,6 +386,42 @@ class TestKlGaussian:
     def test_rejects_singular_second_argument(self):
         with pytest.raises((UsageError, Exception)):
             kl_gaussian(np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("S1, S2, message", [
+        (np.eye(2), np.eye(3), "need square matrices of equal size"),
+        (np.ones(3), np.ones(3), "need square matrices of equal size"),
+        (np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(2), "S1 is not symmetric"),
+        (np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]]), "S2 is not symmetric"),
+        # below the floor lambda_min > 1e-12 lambda_max, diagonal and rotated
+        (np.eye(2), np.diag([1.0, 5e-13]), "S2 must be positive definite"),
+        (np.eye(2), np.array([[0.5, 0.5], [0.5, 0.5]]) + 1e-14 * np.eye(2),
+         "S2 must be positive definite"),
+        (np.diag([1.0, -1e-3]), np.eye(2), "S1 must be positive semi-definite"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), "S1 must be positive semi-definite"),
+    ])
+    def test_refusals_name_the_fault(self, S1, S2, message):
+        for kl in (kl_gaussian, kl_gaussian_both):
+            with pytest.raises(UsageError, match=message):
+                kl(S1, S2)
+
+    def test_singular_first_argument(self):
+        # Forward KL is +inf; the reverse needs S1 to clear the floor S2 meets.
+        S2 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for S1 in (np.diag([1.0, 0.0]), np.ones((2, 2))):
+            assert kl_gaussian(S1, S2) == math.inf
+            with pytest.raises(UsageError, match="S1 must be positive definite"):
+                kl_gaussian_both(S1, S2)
+        tiny = np.diag([1.0, 1e-14])
+        assert math.isfinite(kl_gaussian(tiny, S2))
+        with pytest.raises(UsageError, match="S1 must be positive definite"):
+            kl_gaussian_both(tiny, S2)
+
+    def test_directions_swap(self):
+        rng = np.random.default_rng(21)
+        S1 = random_psd(rng, 6, jitter=0.2)
+        S2 = random_psd(rng, 6, jitter=0.2)
+        forward, reverse = kl_gaussian_both(S1, S2)
+        assert kl_gaussian_both(S2, S1) == pytest.approx((reverse, forward), rel=1e-10)
 
 
 class TestRelError:

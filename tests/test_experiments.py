@@ -302,6 +302,21 @@ class TestCsv:
             assert all(math.isnan(r.r_eff) for r in loaded)
         assert text.count(",na") == 3 * len(not_run)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:-2], ":3: expected 12 cells, got 10"),
+        (lambda cells: cells + ["0.5"], ":3: expected 12 cells, got 13"),
+        (lambda cells: cells[:5] + ["five"] + cells[6:], ":3: invalid literal for int()"),
+    ], ids=["short", "long", "unparsable"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "trials.csv"
+        emit_csv(run_sweep(_cfg(trials=2)).records, path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UsageError) as info:
+            load_trials(path)
+        assert str(info.value).startswith(f"{path}{message}")
+
     def test_summary_round_trip(self, tmp_path):
         cfg = _cfg(trials=3)
         rows = summarize(run_sweep(cfg).records)

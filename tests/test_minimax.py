@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from covlab import (
     BandedFamilySpec,
@@ -179,6 +181,40 @@ def _tails_by_definition(spec, theta, r_eff):
     return tails
 
 
+@st.composite
+def _banded_spec_and_theta(draw):
+    """A valid f2 or f3 spec at d in {1, 2, 3} with at most 64 cells, and a theta.
+
+    m_star is the smallest m with m^(d+1) >= N for the m^-1/2 table, so N is
+    drawn from the range that gives the drawn m_star.
+    """
+    kind = draw(st.sampled_from(("f2", "f3")))
+    d = draw(st.integers(1, 3))
+    S = draw(st.integers(2, {1: 24, 2: 8, 3: 4}[d]))
+    if kind == "f2":
+        ms = draw(st.integers(2, max(2, S - 1)))
+    else:
+        S += S % 2
+        ms = draw(st.integers(S + 1, S + 6))
+    N = draw(st.integers((ms - 1) ** (d + 1) + 1, ms ** (d + 1)))
+    tau = draw(st.floats(1e-4, 4.0 ** (-(d + 1)), exclude_max=True))
+    try:
+        spec = BandedFamilySpec(kind=kind, r=S**d, N=N, d=d, tau=tau, nu=_nu_table())
+    except UsageError:
+        assume(False)
+    bits = draw(st.lists(st.integers(0, 1), min_size=spec.gamma_N, max_size=spec.gamma_N))
+    return spec, ThetaIndex(bits=tuple(bits))
+
+
+@given(_banded_spec_and_theta())
+def test_every_tail_equals_its_definition(spec_theta):
+    spec, theta = spec_theta
+    report = certify_banded_membership(spec, theta)
+    measured = {c.name: c.measured for c in report.checks}
+    tails = {k: v for k, v in measured.items() if k.startswith("tail_")}
+    assert tails == _tails_by_definition(spec, theta, measured["r_eff_lower"])
+
+
 class TestBandingTails:
     @pytest.mark.parametrize("kind, r, N, d", [
         ("f2", 16, 50, 1),
@@ -338,6 +374,40 @@ class TestAssouadTerms:
         theta = sample_banded_theta(spec, seed=15, index=0)
         with pytest.raises(UsageError):
             assouad_terms(spec, [(theta, theta)])
+
+    @pytest.mark.parametrize("family", ["f2", "f3", "sparse"])
+    def test_flip_norm_from_support_block_equals_dense(self, family):
+        # One Hamming-1 pair per report, so alpha_min is that pair's |Sa - Sb|.
+        if family == "sparse":
+            spec = _sparse_spec()
+            sample, build = sample_sparse_theta, build_sparse_theta
+            bits = spec.r_star
+        else:
+            spec = _f2_spec(r=64) if family == "f2" else _f3_spec()
+            sample = sample_banded_theta
+            build = build_f2_banded if family == "f2" else build_f3_banded
+            bits = spec.gamma_N
+        for i in range(4):
+            theta = sample(spec, 18, i)
+            other = flip_bit(theta, (3 * i) % bits)
+            dense = np.max(np.abs(np.linalg.eigvalsh(build(spec, theta) - build(spec, other))))
+            report = assouad_terms(spec, [(theta, other)])
+            assert report.alpha_min == pytest.approx(dense, rel=1e-13)
+
+    def test_f3_kl_over_frobenius_is_one_quarter(self):
+        # Near the identity KL(Sa || Sb) / |Sa - Sb|_F^2 -> 1/4.  The members
+        # of the CLI's default f3 family (seed 0, 50 samples) have links of
+        # 2.4e-6, so only a KL free of cancellation reads 1/4 to 1e-8.
+        spec = _f3_spec()
+        pairs = []
+        for i in range(50):
+            theta = sample_banded_theta(spec, 0, i)
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((0, 0xF11B, i))))
+            for pos in gen.integers(0, spec.gamma_N, size=2):
+                pairs.append((theta, flip_bit(theta, int(pos))))
+        report = assouad_terms(spec, pairs)
+        measured = {c.name: c.measured for c in report.checks}
+        assert abs(measured["kl_vs_frobenius"] - 0.25) <= 1e-8
 
     def test_report_format_mentions_every_check(self):
         spec = _f2_spec()
