@@ -31,15 +31,18 @@ from .diagnostics import (
     DiagnosticReport,
     NuSequence,
     OperatorQuantities,
+    TridiagonalForm,
     eps_star,
     gamma1,
     gamma2,
     kl_gaussian,
     kl_gaussian_both,
+    lowrank_update_norm,
     m_star,
     operator_quantities,
     rel_error,
     spectral_norm,
+    tridiagonal_form,
 )
 from .estimators import (
     adaptive_threshold,

@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,7 @@ def cmd_sweep(args) -> int:
     _print_resolved(resolved)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     result = run_sweep(
         cfg, threads=threads, progress=lambda line: print(line, file=sys.stderr)
     )
@@ -257,8 +259,15 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {len(result.failures)} trial(s) failed:", file=sys.stderr)
         for line in result.failures:
             print(f"  {line}", file=sys.stderr)
-        return 3
-    return 0
+    wall = time.perf_counter() - start
+    trials = len(result.records) + len(result.failures)
+    print(
+        f"sweep: {trials} trials, {len(result.failures)} failed, "
+        f"{result.lowrank_cells} of {len(cfg.kernels) * len(cfg.lambda_grid)} cells "
+        f"on the low-rank norm, {wall:.2f} s, {trials / wall:.2f} trials/s",
+        file=sys.stderr,
+    )
+    return 3 if result.failures else 0
 
 
 # ------------------------------------------------------ minimax check ----
@@ -376,7 +385,10 @@ def cmd_estimate(args) -> int:
     prep = build_prep(KernelTemplate(name=args.kernel), args.lam, args.L, args.d, args.N, tol=1e-9)
     shuffle_seed = int(np.random.SeedSequence((seed, 1)).generate_state(1, np.uint64)[0])
     estimators = ("taper", "threshold") if args.estimator == "all" else (args.estimator,)
-    record, matrices = simulate_trial(prep, seed, shuffle_seed, ExperimentConfig.c0, estimators)
+    record, matrices = simulate_trial(
+        prep, seed, shuffle_seed, ExperimentConfig.c0, estimators,
+        keep_matrices=bool(args.dump_matrices),
+    )
     print(TRIAL_HEADER)
     print(",".join(trial_row(record)))
 

@@ -32,6 +32,10 @@ from .sampling import CholFactor, draw_paths
 
 __all__ = [
     "spectral_norm",
+    "TridiagonalForm",
+    "tridiagonal_form",
+    "lowrank_update_norm",
+    "LOWRANK_MAX_RANK",
     "OperatorQuantities",
     "operator_quantities",
     "gamma1",
@@ -52,6 +56,86 @@ _LANCZOS_SEED = 0x5EED_0C0B
 # -------------------------------------------------------- spectral norm ----
 
 
+def _asymmetry(A: np.ndarray, rows: int = 64) -> float:
+    """max |A - A^T|, one block of rows at a time.
+
+    A - A^T is exactly antisymmetric in floating point, so its largest entry
+    is its largest magnitude.
+    """
+    return max(
+        float(np.subtract(A[i:i + rows], A[:, i:i + rows].T).max())
+        for i in range(0, A.shape[0], rows)
+    )
+
+
+def _checked(A, tol: float) -> tuple:
+    """(A as float64, its asymmetry) after the spectral-norm input checks;
+    the asymmetry is None for an empty or all-zero matrix."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise UsageError(f"spectral_norm needs a square matrix, got {A.shape}")
+    if not (1e-14 < tol < 1e-2):
+        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
+    if not A.size:
+        return A, None
+    hi, lo = float(A.max()), float(A.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise UsageError("matrix has a non-finite entry (nan or inf)")
+    scale = max(hi, -lo)
+    if scale == 0.0:
+        return A, None
+    asym = _asymmetry(A)
+    if asym > 1e-12 * scale:
+        raise UsageError(
+            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
+        )
+    return A, asym
+
+
+def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
+    """|top eigenvalue| of an exactly symmetric A from ARPACK, or None when
+    ARPACK does not converge within max(10, n/160) restarts."""
+    n = A.shape[0]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((_LANCZOS_SEED, n))))
+    v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
+    # A tightly clustered top of the spectrum can keep ARPACK restarting for
+    # thousands of matvecs, where a dense solve costs a few hundred at
+    # n=1250.  A restart costs 10 to 19 matvecs at scipy's default ncv=20,
+    # so the cap allows about max(100, n/16) matvecs before falling back.
+    try:
+        top = eigsh(
+            A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // 160),
+            return_eigenvectors=False,
+        )
+    except ArpackNoConvergence:
+        return None
+    return float(abs(top[0]))
+
+
+def _norm_and_form(A, tol: float, method: str, keep_form: bool) -> tuple:
+    """(spectral norm, tridiagonal form or None); the form is built, as the
+    dense solve, only with keep_form and only when ARPACK gives up."""
+    if method not in ("auto", "lanczos", "dense"):
+        raise UsageError(f"unknown method {method!r}")
+    A, asym = _checked(A, tol)
+    if asym is None:
+        return 0.0, None
+    n = A.shape[0]
+    if n == 1 or method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
+        return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
+    # The iteration assumes exact symmetry; fold in any last-bit asymmetry.
+    if asym != 0.0:
+        A = np.add(A, A.T)
+        A /= 2.0
+    top = _arpack_top(A, tol)
+    if top is not None:
+        return top, None
+    if keep_form:
+        form = tridiagonal_form(A)
+        return form.norm, form
+    return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
+
+
 def spectral_norm(
     A: np.ndarray,
     tol: float = 1e-9,
@@ -68,43 +152,225 @@ def spectral_norm(
     top eigenvector of a smooth covariance; the perturbation keeps it from
     missing a top eigenvector orthogonal to ones.  It solves densely only if
     ARPACK does not converge within max(10, n/160) restarts, so the
-    tolerance contract always holds.
+    tolerance contract always holds.  A nan or inf entry is refused.
+    """
+    return _norm_and_form(A, tol, method, keep_form=False)[0]
+
+
+# ------------------------------------------------- tridiagonal form ----
+
+# Reflectors per compact-WY panel of a tridiagonal form's Q.  Each panel
+# stores its Householder vectors unpacked and its w x w triangular factor,
+# about 1.5 n w doubles beyond half of A in all.
+_REFLECTOR_PANEL = 32
+# Largest rank r of a low-rank update whose norm comes from inertia counts.
+# One count costs an n x r tridiagonal solve and an r x r eigensolve, and
+# about 20 counts make a norm.  At n=1250 on 2 CPUs the norm of a random
+# block took 0.03 s at r=40 and 0.16-0.37 s at r=128, against 0.22-0.27 s
+# for ARPACK's failed attempt plus the dense solve; at r=200 the two were
+# even.
+LOWRANK_MAX_RANK = 128
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagonalForm:
+    """A = Q T Q^T from LAPACK's Householder reduction (dsytrd, lower).
+
+    T has diagonal d and off-diagonal e; Q = H_0 ... H_{n-2} with
+    H_j = I - tau_j v_j v_j^T, where v_j is zero above row j+1 and one at
+    row j+1.  ``panels`` holds Q as consecutive blocks of reflectors in
+    compact WY form: a block starting at reflector j0 is (V, S) with
+    H_j0 ... H_{j0+w-1} = I - V S V^T on rows j0+1 and below, V the
+    reflectors' vectors there and S upper triangular.  ``spectrum`` is T's
+    (and A's) eigenvalues, ascending.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    tau: np.ndarray
+    panels: tuple
+    spectrum: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.d.size
+
+    @property
+    def norm(self) -> float:
+        return float(max(-self.spectrum[0], self.spectrum[-1]))
+
+    def transpose_apply(self, X: np.ndarray) -> np.ndarray:
+        """Q^T X for an (n, k) X: X <- (I - V S^T V^T) X, one panel at a
+        time from the first, so no (n, n) array is formed."""
+        X = np.array(X, dtype=np.float64)
+        j0 = 0
+        for V, S in self.panels:
+            rows = X[j0 + 1:]
+            rows -= V @ (S.T @ (V.T @ rows))
+            j0 += S.shape[0]
+        return X
+
+
+def _wy_panels(c: np.ndarray, tau: np.ndarray) -> tuple:
+    """Compact WY panels of the reflectors below the subdiagonal of dsytrd's
+    lower output c; S follows LAPACK's dlarft (forward, columnwise)."""
+    n = c.shape[0]
+    panels = []
+    for j0 in range(0, n - 1, _REFLECTOR_PANEL):
+        w = min(_REFLECTOR_PANEL, n - 1 - j0)
+        V = np.tril(c[j0 + 1:, j0:j0 + w], -1)
+        V[np.arange(w), np.arange(w)] = 1.0
+        gram = V.T @ V
+        S = np.zeros((w, w))
+        for i, t in enumerate(tau[j0:j0 + w]):
+            S[i, i] = t
+            S[:i, i] = -t * (S[:i, :i] @ gram[:i, i])
+        panels.append((V, S))
+    return tuple(panels)
+
+
+def tridiagonal_form(A: np.ndarray) -> TridiagonalForm:
+    """Householder tridiagonal form of an exactly symmetric matrix.
+
+    One blocked ``dsytrd`` (the reduction inside a dense eigenvalue solve)
+    and one ``dsterf`` for the spectrum; the (n, n) output of dsytrd is
+    dropped once its reflectors are in panels.  A^T is passed because it is
+    Fortran-ordered and equal to A, so no transposing copy is made.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise UsageError(f"spectral_norm needs a square matrix, got {A.shape}")
-    if not (1e-14 < tol < 1e-2):
-        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
-    if method not in ("auto", "lanczos", "dense"):
-        raise UsageError(f"unknown method {method!r}")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > 1e-12 * scale:
-        raise UsageError(
-            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
-        )
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise UsageError(f"tridiagonal_form needs a non-empty square matrix, got {A.shape}")
     n = A.shape[0]
-    if n == 1 or method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    # The iteration assumes exact symmetry; fold in any last-bit asymmetry.
-    if asym != 0.0:
-        A = (A + A.T) / 2.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((_LANCZOS_SEED, n))))
-    v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-    # A tightly clustered top of the spectrum can keep ARPACK restarting for
-    # thousands of matvecs, where a dense solve costs a few hundred at
-    # n=1250.  A restart costs 10 to 19 matvecs at scipy's default ncv=20,
-    # so the cap allows about max(100, n/16) matvecs before falling back.
-    try:
-        top = eigsh(
-            A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // 160),
-            return_eigenvectors=False,
-        )
-    except ArpackNoConvergence:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    return float(abs(top[0]))
+    lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(A.T, lower=1, lwork=max(lwork, 1))
+    if info != 0:
+        raise NumericError(f"LAPACK dsytrd failed with info={info}")
+    panels = _wy_panels(c, tau)
+    del c
+    spectrum, info = (d.copy(), 0) if n == 1 else scipy.linalg.lapack.dsterf(d, e)
+    if info != 0:
+        raise NumericError(f"LAPACK dsterf failed with info={info}")
+    return TridiagonalForm(d=d, e=e, tau=tau, panels=panels, spectrum=spectrum)
+
+
+def lowrank_update_norm(form: TridiagonalForm, rows: np.ndarray, block: np.ndarray) -> float:
+    """Spectral norm of U B U^T - A, where A = Q T Q^T is the form's matrix,
+    U holds the identity columns ``rows`` and B is the symmetric ``block``.
+
+    With B = W Omega W^T over its nonzero eigenvalues, G = Q^T U W |Omega|^(1/2)
+    and s = sign(Omega), Haynsworth's inertia additivity gives the number of
+    eigenvalues of E = U B U^T - A above sigma as
+    #{lambda(T) < -sigma} + pos(G^T (T + sigma)^-1 G - s) - #{s < 0},
+    so each count costs one tridiagonal solve (``dgtsv``) and one r x r
+    eigensolve.  A bisection on the count, sped up by Newton steps, gives
+    lambda_min(E) to the last bit inside its interlacing bracket; one count
+    at |lambda_min| then decides whether lambda_max needs a search of its
+    own.  Every product and eigensolve is numpy's, like the rest of a
+    trial: switching to scipy's OpenBLAS while numpy's threads still spin
+    stalls both.  ``dgtsv`` calls no BLAS.  An empty ``rows`` gives |A|.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    block = np.asarray(block, dtype=np.float64)
+    n, r = form.n, rows.size
+    if rows.ndim != 1 or block.shape != (r, r):
+        raise UsageError(f"block of shape {block.shape} does not match {r} rows")
+    if r == 0:
+        return form.norm
+    if rows.min() < 0 or rows.max() >= n or np.unique(rows).size != r:
+        raise UsageError(f"rows must be distinct indices below {n}")
+    block_scale = max(float(block.max()), -float(block.min()))
+    if not math.isfinite(block_scale):
+        raise UsageError("matrix has a non-finite entry (nan or inf)")
+    if _asymmetry(block) > 1e-12 * block_scale:
+        raise UsageError("block is not symmetric")
+    omega, W = np.linalg.eigh(block)
+    keep = omega != 0.0
+    omega, W = omega[keep], W[:, keep]
+    if omega.size == 0:
+        return form.norm
+    X = np.zeros((n, omega.size))
+    X[rows] = W * np.sqrt(np.abs(omega))
+    G = form.transpose_apply(X)
+    sign = np.sign(omega)
+    negative = int(np.sum(omega < 0.0))
+    spectrum, d, e = form.spectrum, form.d, form.e
+
+    def above(sigma: float, target: Optional[int] = None) -> tuple:
+        """(number of eigenvalues of E above sigma, Newton step toward the
+        point where that number falls below target, or None).
+
+        Between two eigenvalues of -T the eigenvalues of the r x r matrix
+        all decrease in sigma, with slope -|Y u|^2 for eigenvector u; the
+        step follows the one whose sign change moves the count past target.
+        """
+        shifted = d + sigma
+        if n == 1:  # dgtsv needs n >= 2
+            Y, info = (G / shifted[0], 0) if shifted[0] else (None, 1)
+        else:
+            _, _, _, Y, info = scipy.linalg.lapack.dgtsv(e, shifted, e, G)
+        if info > 0:  # sigma is an eigenvalue of -T: count just above it
+            return above(float(np.nextafter(sigma, math.inf)), target)
+        M = G.T @ Y
+        M[np.diag_indices_from(M)] -= sign
+        below = int(np.searchsorted(spectrum, -sigma))
+        if target is None:
+            mu = np.linalg.eigvalsh(M)
+            return below + int(np.sum(mu > 0.0)) - negative, None
+        mu, U = np.linalg.eigh(M)
+        count, j = below + int(np.sum(mu > 0.0)) - negative, mu.size - (target - below + negative)
+        if not 0 <= j < mu.size:
+            return count, None
+        Yu = Y @ U[:, j]
+        slope = float(np.dot(Yu, Yu))
+        return count, (float(mu[j]) / slope if slope > 0.0 else None)
+
+    def crossing(lo: float, hi: float, target: int, lo_holds: bool = False) -> float:
+        """The least float in (lo, hi] with fewer than target eigenvalues of
+        E above it.
+
+        Bisection on the count, after the bracket is checked (unless
+        lo_holds says its lower end is known to hold).  Once no eigenvalue
+        of -T lies inside the bracket, a Newton step from the last point
+        replaces the midpoint when it lands inside and is at most half the
+        step before it; a step below rounding grows by doubling ulps, so the
+        far end closes in too.  Every point is counted, so the bracket holds
+        throughout and the result has the last-bit accuracy of bisection.
+        """
+        if not (lo_holds or above(lo)[0] >= target) or above(hi)[0] >= target:
+            raise NumericError("eigenvalue counts contradict the interlacing bracket")
+        guess, last, push = None, hi - lo, 0
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi:
+                return float(hi)
+            x = guess if guess is not None and lo < guess < hi else mid
+            pole_free = np.searchsorted(spectrum, -hi) == np.searchsorted(spectrum, -lo)
+            count, step = above(x, target if pole_free else None)
+            if count >= target:
+                lo = x
+            else:
+                hi = x
+            guess = None
+            if step is not None and abs(step) <= 0.5 * last:
+                tiny = 2.0 ** push * abs(np.spacing(x))
+                push = push + 1 if abs(step) < tiny else 0
+                guess = x + math.copysign(max(abs(step), tiny), step)
+            last = abs(guess - x) if guess is not None else 0.5 * (hi - lo)
+
+    scale = form.norm + float(np.max(np.abs(omega)))
+    margin = 16.0 * np.finfo(np.float64).eps * scale
+    positive = omega.size - negative
+    # Weyl and interlacing: -lambda_n + min(omega, 0) <= lambda_min(E) <=
+    # min(-lambda_n + max(omega, 0), -lambda_{n-p}) with p positive omegas.
+    lo = -spectrum[-1] + min(float(omega.min()), 0.0) - margin
+    hi = -spectrum[-1] + max(float(omega.max()), 0.0)
+    if positive < n:
+        hi = min(hi, -spectrum[n - 1 - positive])
+    top = abs(crossing(lo, hi + margin, n))
+    if above(top)[0] == 0:
+        return top
+    hi = -spectrum[0] + max(float(omega.max()), 0.0) + margin
+    return max(top, abs(crossing(top, hi, 1, lo_holds=True)))
 
 
 # ------------------------------------------------- operator quantities ----
@@ -115,18 +381,31 @@ class OperatorQuantities:
     trace_op: float
     op_norm: float
     r_eff: float
+    # C's tridiagonal form, kept when asked for and ARPACK gave up on |C|.
+    form: Optional["TridiagonalForm"] = field(default=None, compare=False, repr=False)
 
 
-def operator_quantities(C: CovMatrix, *, tol: float = 1e-9) -> OperatorQuantities:
-    """Operator trace, operator norm, and effective dimension Tr/norm."""
+def operator_quantities(
+    C: CovMatrix, *, tol: float = 1e-9, keep_form: bool = False
+) -> OperatorQuantities:
+    """Operator trace, operator norm, and effective dimension Tr/norm.
+
+    With keep_form, a norm that ARPACK cannot resolve comes from C's
+    tridiagonal form, which the result then holds, instead of from a dense
+    eigenvalue solve that discards it.
+    """
     trace_m = float(np.trace(C.entries))
-    norm_m = spectral_norm(C.entries, tol)
+    if keep_form:
+        norm_m, form = _norm_and_form(C.entries, tol, "auto", keep_form=True)
+    else:
+        norm_m, form = spectral_norm(C.entries, tol), None
     if norm_m == 0.0:
         raise UsageError("zero operator has no effective dimension")
     return OperatorQuantities(
         trace_op=C.grid_h * trace_m,
         op_norm=C.grid_h * norm_m,
         r_eff=trace_m / norm_m,  # the grid weight cancels exactly
+        form=form,
     )
 
 

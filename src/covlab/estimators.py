@@ -37,7 +37,8 @@ def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
             f"matrix size {Chat.entries.shape[0]} does not match grid size {grid.n}"
         )
     weights = taper_weight_matrix(kappa, grid)
-    return CovMatrix(entries=Chat.entries * weights, grid_h=Chat.grid_h)
+    weights *= Chat.entries
+    return CovMatrix(entries=weights, grid_h=Chat.grid_h)
 
 
 def threshold_estimate(Chat: CovMatrix, rho: float) -> CovMatrix:

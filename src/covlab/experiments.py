@@ -12,14 +12,21 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.stats
 
 from .errors import UsageError
-from .diagnostics import NuSequence, operator_quantities, spectral_norm
+from .diagnostics import (
+    LOWRANK_MAX_RANK,
+    NuSequence,
+    TridiagonalForm,
+    lowrank_update_norm,
+    operator_quantities,
+    spectral_norm,
+)
 from .estimators import adaptive_threshold, choose_kappa, taper_estimate, threshold_estimate
 from .grid_kernel import (
     CovMatrix,
@@ -108,7 +115,8 @@ class ExperimentConfig:
     The norm's relative error is about quadratic in this residual tolerance
     only when the top eigenvalue is well separated; on a clustered top it is
     about linear (tol 1e-6 gave 1.1e-9, about 9 digits).  A norm that does
-    not converge within the restart cap comes from a dense solve instead.
+    not converge within the restart cap comes from a dense solve instead;
+    when that happens to the truth, its threshold errors are exact (see Prep).
     """
 
     kernels: tuple
@@ -202,6 +210,7 @@ SUMMARY_HEADER = ",".join(_header(_CSV_KINDS["summary"][1]))
 class SweepResult:
     records: tuple
     failures: tuple
+    lowrank_cells: int = 0  # cells whose threshold errors come from the truth's tridiagonal form
 
     @property
     def ok(self) -> bool:
@@ -250,7 +259,12 @@ def nu_for(name: str, source: str, d: int, smoothness: float) -> NuSequence:
 
 @dataclass(frozen=True)
 class Prep:
-    """Shared per-(kernel, lengthscale) state: truth, factor, taper radius."""
+    """Shared per-(kernel, lengthscale) state: truth, factor, taper radius.
+
+    form is the truth's tridiagonal form, held when ARPACK could not resolve
+    |C| (the truth needed a dense solve); the threshold errors of the cell
+    then come from it.  A permuted cell holds its unshuffled base truth.
+    """
 
     kernel: str
     lam: float
@@ -262,17 +276,19 @@ class Prep:
     kappa: float
     N: int
     tol: float  # residual tolerance of every spectral norm
+    form: Optional[TridiagonalForm] = field(default=None, repr=False)
 
 
 def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol: float) -> Prep:
     grid = build_grid(d, L)
     C = discretize(kernel_for(template.name, lam, template.smoothness, template.period), grid)
     factor = cholesky_psd(C)
-    quant = operator_quantities(C, tol=tol)
+    quant = operator_quantities(C, tol=tol, keep_form=True)
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
     return Prep(
         kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,
         norm=quant.op_norm / C.grid_h, r_eff=quant.r_eff, kappa=kappa, N=N, tol=tol,
+        form=quant.form,
     )
 
 
@@ -283,12 +299,15 @@ def simulate_trial(
     c0: float,
     estimators: Sequence[str] = ("taper", "threshold"),
     trial: int = 0,
+    keep_matrices: bool = True,
 ) -> tuple:
     """One seeded draw scored by the sample estimate and the chosen estimators.
 
     Returns (record, matrices): matrices maps 'truth', 'sample' and each
-    estimator run to its CovMatrix; the record's fields of estimators not run
-    are None.  The permuted kernel shuffles path coordinates of the base draw,
+    estimator run to its CovMatrix, or is empty without keep_matrices; the
+    record's fields of estimators not run are None.  Each estimate is scored
+    as soon as it is built, so without keep_matrices none outlives its
+    score.  The permuted kernel shuffles path coordinates of the base draw,
     which has the law of factoring the shuffled matrix directly.
     """
     base = draw_paths(prep.factor, prep.N, draw_seed)
@@ -296,13 +315,18 @@ def simulate_trial(
         truth, perm = shuffle_cov(prep.C, shuffle_seed)
         S = SampleSet(paths=base.paths[:, perm], seed=draw_seed, grid_h=prep.grid.h)
     else:
-        truth, S = prep.C, base
+        truth, S, perm = prep.C, base, None
 
     Chat = sample_cov(S)
-    matrices = {"truth": truth, "sample": Chat}
+    matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
+    err = {"sample": spectral_norm(Chat.entries - truth.entries, tol=prep.tol) / prep.norm}
     rho_hat = None
     if "taper" in estimators:
-        matrices["taper"] = taper_estimate(Chat, prep.kappa, prep.grid)
+        est = taper_estimate(Chat, prep.kappa, prep.grid)
+        err["taper"] = spectral_norm(est.entries - truth.entries, tol=prep.tol) / prep.norm
+        if keep_matrices:
+            matrices["taper"] = est
+        del est
     if "threshold" in estimators:
         # The plugin sup-kernel value is the largest sample variance, read
         # off the Gram built above instead of a second one.
@@ -310,12 +334,11 @@ def simulate_trial(
         # The signed-sup mean can go negative at tiny N; keep-if |entry| >=
         # level then keeps every entry, so the estimate coincides with level
         # zero.  The record still carries the raw level.
-        matrices["threshold"] = threshold_estimate(Chat, max(rho_hat, 0.0))
-
-    err = {
-        name: spectral_norm(est.entries - truth.entries, tol=prep.tol) / prep.norm
-        for name, est in matrices.items() if name != "truth"
-    }
+        est = threshold_estimate(Chat, max(rho_hat, 0.0))
+        del Chat  # the sample estimate is not needed past this point
+        err["threshold"] = _threshold_error_norm(prep, est.entries, truth.entries, perm) / prep.norm
+        if keep_matrices:
+            matrices["threshold"] = est
     record = TrialRecord(
         kernel=prep.kernel, lam=prep.lam, d=prep.grid.d, L=prep.grid.L, N=prep.N,
         trial=trial, seed=draw_seed, kappa=prep.kappa, rho_hat=rho_hat,
@@ -323,6 +346,18 @@ def simulate_trial(
         err_thresh=err.get("threshold"), r_eff=prep.r_eff,
     )
     return record, matrices
+
+
+def _threshold_error_norm(prep: Prep, est: np.ndarray, truth: np.ndarray, perm) -> float:
+    """|est - truth|, from the prep's tridiagonal form when it holds one and
+    the estimate keeps at most LOWRANK_MAX_RANK rows; perm maps the rows of
+    a shuffled truth to its base."""
+    if prep.form is not None:
+        rows = np.flatnonzero(est.any(axis=1))
+        if rows.size <= LOWRANK_MAX_RANK:
+            block = est[np.ix_(rows, rows)]
+            return lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
+    return spectral_norm(est - truth, tol=prep.tol)
 
 
 def run_trial(
@@ -344,7 +379,9 @@ def run_trial(
     draw_seed, shuffle_seed = trial_seed(
         cfg, cfg.kernels.index(template), cfg.lambda_grid.index(lam), trial_index
     )
-    record, _ = simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0, trial=trial_index)
+    record, _ = simulate_trial(
+        prep, draw_seed, shuffle_seed, cfg.c0, trial=trial_index, keep_matrices=False
+    )
     return record
 
 
@@ -398,7 +435,10 @@ def run_sweep(
                 failures.append(
                     f"kernel={template.name} lambda={lam!r} trial={trial}: {out}"
                 )
-    return SweepResult(records=tuple(records), failures=tuple(failures))
+    return SweepResult(
+        records=tuple(records), failures=tuple(failures),
+        lowrank_cells=sum(prep.form is not None for prep in preps.values()),
+    )
 
 
 def _progress_line(task, outcome) -> str:

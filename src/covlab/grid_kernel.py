@@ -360,11 +360,20 @@ def taper_weight_matrix(kappa: float, grid: Grid) -> np.ndarray:
     """All-pairs taper weights on a grid, one (n, n) block per axis."""
     if not kappa > 0:
         raise UsageError(f"taper radius must be > 0, got {kappa}")
-    n = grid.n
-    w = np.ones((n, n), dtype=np.float64)
+    # Built in place: the first axis's ramp becomes the result, and each
+    # later axis reuses one scratch array.
+    w = t = None
     for k in range(grid.d):
-        t = np.abs(grid.points[:, k][:, None] - grid.points[:, k][None, :])
-        w *= np.clip((2.0 * kappa - t) / kappa, 0.0, 1.0)
+        x = grid.points[:, k]
+        t = np.subtract(x[:, None], x[None, :], out=t)
+        np.abs(t, out=t)
+        np.subtract(2.0 * kappa, t, out=t)
+        t /= kappa
+        np.clip(t, 0.0, 1.0, out=t)
+        if w is None:
+            w, t = t, None
+        else:
+            w *= t
     return w
 
 

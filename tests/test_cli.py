@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, resolved-config echo, file outputs."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import covlab.cli
 import covlab.diagnostics
+import covlab.experiments
 from covlab import load_matrix, load_summaries, load_trials
 from covlab.cli import main, parse_config_file
 from covlab.experiments import TRIAL_HEADER
@@ -201,6 +203,29 @@ class TestSweepCommand:
         assert [r.lam for r in rows] == [0.2, 0.5]
         assert err.count("trial kernel=se") == 4
         assert not (out_dir / "se.svg").exists()
+
+    def test_ends_with_one_summary_line(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path, **{"sweep.lambda_grid": "0.003,0.01", "sweep.L": "300",
+                                         "sweep.trials": "1"})
+        code, _, err = _run(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        last = err.splitlines()[-1]
+        assert re.fullmatch(
+            r"sweep: 2 trials, 0 failed, 1 of 2 cells on the low-rank norm, "
+            r"\d+\.\d\d s, \d+\.\d\d trials/s", last), last
+
+    def test_summary_line_follows_the_failures(self, capsys, tmp_path, monkeypatch):
+        # bench.py counts failed trials by the lines that start "  kernel=".
+        def failing(*args):
+            raise ValueError("synthetic trial failure")
+
+        monkeypatch.setattr(covlab.experiments, "adaptive_threshold", failing)
+        cfg = _write_config(tmp_path)
+        code, _, err = _run(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        lines = err.splitlines()
+        assert sum(line.startswith("  kernel=") for line in lines) == 4
+        assert lines[-1].startswith("sweep: 4 trials, 4 failed, 0 of 2 cells ")
 
     def test_plot_flag_adds_svg(self, capsys, tmp_path):
         cfg = _write_config(tmp_path)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,12 +27,20 @@ from covlab import (
     gamma2,
     kl_gaussian,
     kl_gaussian_both,
+    lowrank_update_norm,
     m_star,
     operator_quantities,
     rel_error,
     spectral_norm,
+    tridiagonal_form,
 )
-from helpers import random_psd, random_symmetric
+from helpers import (
+    FORM_EXTRA_PER_ROW,
+    form_doubles,
+    random_psd,
+    random_symmetric,
+    traced_peak_bytes,
+)
 
 
 class TestSpectralNorm:
@@ -125,6 +134,23 @@ class TestSpectralNorm:
         assert got == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(A)))), rel=1e-9)
         assert len(matvecs) <= n
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [50, 400], ids=["dense", "arpack"])
+    def test_refuses_non_finite_entries(self, n, bad):
+        A = random_symmetric(np.random.default_rng(n), n)
+        A[3, 3] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            spectral_norm(A)
+
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "last-bit"])
+    def test_allocates_at_most_one_matrix(self, asymmetric):
+        n = 600
+        A = discretize(SquaredExponential(0.05), build_grid(1, n)).entries
+        if asymmetric:  # folded into exact symmetry before ARPACK
+            A = A + np.triu(np.full((n, n), 1e-17), 1)
+        peak = traced_peak_bytes(lambda: spectral_norm(A, tol=1e-9))
+        assert peak <= 1.5 * A.nbytes
+
     def test_dense_fallback_when_arpack_does_not_converge(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
@@ -183,6 +209,191 @@ def test_two_member_top_over_a_wide_bulk():
     A = _planted_top(np.random.default_rng(257), 257, -3.0, 2, 7.416935469683317e-05, False, 0.9)
     dense = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     assert abs(spectral_norm(A, tol=1e-6) - dense) <= 10 * 1e-6 * dense
+
+
+def _dense_update_norm(A, rows, B):
+    E = -A.copy()
+    E[np.ix_(rows, rows)] += B
+    return float(np.max(np.abs(np.linalg.eigvalsh(E))))
+
+
+def _sample_block(rng, A, rows, noise=0.3):
+    """A's block on rows plus a symmetric perturbation, like a thresholded
+    sample covariance."""
+    P = noise * rng.standard_normal((rows.size, rows.size))
+    return A[np.ix_(rows, rows)] + (P + P.T) / 2.0
+
+
+class TestTridiagonalForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
+    def test_reproduces_the_matrix_and_its_spectrum(self, n):
+        A = random_symmetric(np.random.default_rng(n), n)
+        form = tridiagonal_form(A)
+        T = np.diag(form.d) + np.diag(form.e, 1) + np.diag(form.e, -1)
+        X = np.random.default_rng(1).standard_normal((n, 4))
+        # Q^T A X = T Q^T X
+        assert np.max(np.abs(form.transpose_apply(A @ X) - T @ form.transpose_apply(X))) <= 1e-13 * n
+        assert np.max(np.abs(form.spectrum - np.linalg.eigvalsh(A))) <= 1e-13 * n
+        assert form.norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(A)))), rel=1e-14)
+
+    def test_holds_half_a_matrix(self):
+        n = 300
+        form = tridiagonal_form(random_symmetric(np.random.default_rng(0), n))
+        assert form_doubles(form) <= n * (n - 1) // 2 + FORM_EXTRA_PER_ROW * n
+
+
+class TestLowrankUpdateNorm:
+    def test_no_rows_gives_the_norm_of_the_matrix(self):
+        A = random_psd(np.random.default_rng(0), 300)
+        form = tridiagonal_form(A)
+        got = lowrank_update_norm(form, np.array([], dtype=int), np.zeros((0, 0)))
+        assert got == form.norm
+        assert got == pytest.approx(float(np.max(np.linalg.eigvalsh(A))), rel=1e-13)
+
+    def test_zero_block_gives_the_norm_of_the_matrix(self):
+        A = random_psd(np.random.default_rng(1), 40)
+        form = tridiagonal_form(A)
+        assert lowrank_update_norm(form, np.array([3, 9]), np.zeros((2, 2))) == form.norm
+
+    @pytest.mark.parametrize("block", [[[2.5]], [[-0.7]], [[1e-12]]], ids=["up", "down", "tiny"])
+    def test_rank_one(self, block):
+        rng = np.random.default_rng(2)
+        A = random_psd(rng, 300)
+        rows, B = np.array([17]), np.array(block)
+        got = lowrank_update_norm(tridiagonal_form(A), rows, B)
+        assert type(got) is float  # CSVs print repr(), which marks numpy scalars
+        assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    def test_indefinite_block(self):
+        rng = np.random.default_rng(3)
+        A = random_psd(rng, 300)
+        rows = np.sort(rng.choice(300, 12, replace=False))
+        B = 3.0 * random_symmetric(rng, 12)
+        assert np.min(np.linalg.eigvalsh(B)) < 0 < np.max(np.linalg.eigvalsh(B))
+        got = lowrank_update_norm(tridiagonal_form(A), rows, B)
+        assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    @pytest.mark.parametrize("block", [[[5.0]], [[-1.0]], [[2.0]]])
+    def test_one_by_one(self, block):
+        form = tridiagonal_form(np.array([[2.0]]))
+        got = lowrank_update_norm(form, np.array([0]), np.array(block))
+        assert got == pytest.approx(abs(block[0][0] - 2.0), rel=1e-13, abs=1e-15)
+
+    def test_norm_on_an_eigenvalue_the_update_leaves(self):
+        # The rows touch only the small diagonal entries, so lambda_min(E) is
+        # -40 itself, an eigenvalue of -T: the search ends on a singular
+        # shift of T.
+        A = np.diag(np.arange(1.0, 41.0))
+        rows = np.array([0, 1, 2])
+        B = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -3.0]])
+        got = lowrank_update_norm(tridiagonal_form(A), rows, B)
+        assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    def test_positive_update_can_set_the_norm(self):
+        # The update lifts lambda_max(E) above |lambda_min(E)|, so the second
+        # bisection decides the norm.
+        rng = np.random.default_rng(4)
+        A = random_psd(rng, 300)
+        rows = np.array([5, 60, 200])
+        B = np.diag([40.0, 1.0, -2.0])
+        got = lowrank_update_norm(tridiagonal_form(A), rows, B)
+        assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    def test_singular_block(self):
+        rng = np.random.default_rng(5)
+        A = random_psd(rng, 300)
+        rows = np.sort(rng.choice(300, 8, replace=False))
+        u = rng.standard_normal((8, 2))
+        form = tridiagonal_form(A)
+        # Rank 2 of 8 (zero eigenvalues in rounding), then exact zeros.
+        for B in (u @ u.T, np.diag([2.0, 0.0, -1.0, 0.0, 0.0, 3.0, 0.0, 0.0])):
+            got = lowrank_update_norm(form, rows, B)
+            assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-7])
+    def test_planted_clustered_top(self, n, gap):
+        rng = np.random.default_rng(n)
+        A = _planted_top(rng, n, 3.0, 8, gap, False)
+        form = tridiagonal_form(A)
+        for r in (1, 5, 40):
+            rows = np.sort(rng.choice(n, r, replace=False))
+            B = _sample_block(rng, A, rows)
+            got = lowrank_update_norm(form, rows, B)
+            assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+    def test_permuted_matrix_maps_rows_through_the_permutation(self):
+        # The shuffled truth is A[perm][:, perm]; the form of A serves it
+        # with the kept rows mapped to perm[rows].
+        rng = np.random.default_rng(6)
+        C = discretize(SquaredExponential(0.003), build_grid(1, 300)).entries
+        perm = rng.permutation(300)
+        shuffled = C[np.ix_(perm, perm)]
+        rows = np.sort(rng.choice(300, 20, replace=False))
+        B = _sample_block(rng, shuffled, rows)
+        got = lowrank_update_norm(tridiagonal_form(C), perm[rows], B)
+        assert got == pytest.approx(_dense_update_norm(shuffled, rows, B), rel=1e-13)
+
+    def test_newton_steps_cut_the_counts(self, monkeypatch):
+        # Bisection alone takes about 50 counts (one tridiagonal solve each)
+        # to reach the last bit from the interlacing bracket.
+        rng = np.random.default_rng(9)
+        A = _planted_top(rng, 600, 3.0, 8, 1e-5, False)
+        form = tridiagonal_form(A)
+        solves = []
+        real = scipy.linalg.lapack.dgtsv
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+        for _ in range(5):
+            rows = np.sort(rng.choice(600, 20, replace=False))
+            lowrank_update_norm(form, rows, _sample_block(rng, A, rows))
+        assert len(solves) <= 5 * 30
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_refuses_non_finite_block(self, bad):
+        form = tridiagonal_form(random_psd(np.random.default_rng(7), 30))
+        B = np.eye(3)
+        B[1, 1] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            lowrank_update_norm(form, np.array([0, 4, 9]), B)
+
+    @pytest.mark.parametrize("rows,block", [
+        ([0, 4], np.eye(3)), ([0, 0], np.eye(2)), ([0, 30], np.eye(2)),
+        ([0, 4], np.array([[1.0, 2.0], [0.0, 1.0]])),
+    ], ids=["shape", "repeated", "out-of-range", "asymmetric"])
+    def test_refuses_malformed_input(self, rows, block):
+        form = tridiagonal_form(random_psd(np.random.default_rng(8), 30))
+        with pytest.raises(UsageError):
+            lowrank_update_norm(form, np.array(rows), block)
+
+
+@given(
+    n=st.integers(9, 120),
+    cluster=st.integers(1, 8),
+    gap=st.floats(1e-9, 1e-2),
+    top=st.sampled_from((-3.0, 1.0, 40.0)),
+    r=st.integers(1, 16),
+    kind=st.sampled_from(("sample", "indefinite", "psd", "singular")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowrank_update_norm_matches_dense(n, cluster, gap, top, r, kind, seed):
+    rng = np.random.default_rng(seed)
+    A = _planted_top(rng, n, top, cluster, gap, False)
+    rows = rng.choice(n, min(r, n), replace=False)
+    r = rows.size
+    if kind == "sample":
+        B = _sample_block(rng, A, rows, noise=0.3 * abs(top))
+    elif kind == "indefinite":
+        B = abs(top) * random_symmetric(rng, r)
+    else:
+        u = rng.standard_normal((r, r if kind == "psd" else max(r // 2, 1)))
+        B = abs(top) * (u @ u.T) / r
+    got = lowrank_update_norm(tridiagonal_form(A), rows, B)
+    assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
 
 
 class TestOperatorQuantities:

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import covlab.diagnostics
 import covlab.experiments as expmod
 from covlab import (
     ExperimentConfig,
@@ -23,7 +24,14 @@ from covlab import (
     summarize,
     trial_seed,
 )
-from covlab.experiments import SUMMARY_HEADER, TRIAL_HEADER, kernel_for
+from covlab.experiments import (
+    SUMMARY_HEADER,
+    TRIAL_HEADER,
+    build_prep,
+    kernel_for,
+    simulate_trial,
+)
+from helpers import FORM_EXTRA_PER_ROW, form_doubles, traced_peak_bytes
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -133,6 +141,21 @@ class TestRunTrial:
         with pytest.raises(UsageError):
             run_trial(cfg.kernels[0], 0.123, cfg, 0)
 
+    def test_without_matrices_each_estimate_is_dropped_once_scored(self):
+        lam, L = 1e-2, 300
+        cfg = _cfg(lambda_grid=(lam,), L=L)
+        prep = build_prep(cfg.kernels[0], lam, L, 1, n_for_lambda(cfg, lam), cfg.norm_tol)
+        draw_seed, shuffle_seed = trial_seed(cfg, 0, 0, 0)
+        record, matrices = simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0)
+        assert set(matrices) == {"truth", "sample", "taper", "threshold"}
+        out = []
+        peak = traced_peak_bytes(lambda: out.append(
+            simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0, keep_matrices=False)))
+        assert out == [(record, {})]
+        # The Gram, one estimate, its error and the dense solve's copy: fewer
+        # than four (n, n) arrays at once, against 4.4 when all are kept.
+        assert peak < 4 * prep.C.n ** 2 * 8
+
 
 class TestRunSweep:
     def test_cardinality_and_canonical_order(self):
@@ -227,6 +250,81 @@ class TestRunSweep:
         assert "kernel=se" in result.failures[0]
         assert "trial=1" in result.failures[0]
         assert "synthetic trial failure" in result.failures[0]
+
+
+# At L=300 ARPACK cannot resolve the top of the SE truth at lambda=3e-3
+# (its top is clustered), but resolves it at lambda=1e-2.
+_FORM_L, _FORM_LAM, _PLAIN_LAM = 300, 3e-3, 1e-2
+
+
+def _dense_norm(A):
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+
+
+class TestTridiagonalFormCells:
+    def test_only_a_truth_that_fails_arpack_keeps_the_form(self):
+        tol = ExperimentConfig.norm_tol
+        for lam, fails in ((_FORM_LAM, True), (_PLAIN_LAM, False)):
+            prep = build_prep(KernelTemplate("se"), lam, _FORM_L, 1, 30, tol)
+            assert (covlab.diagnostics._arpack_top(prep.C.entries, tol) is None) == fails
+            assert (prep.form is not None) == fails
+            # The form's norm is exact; ARPACK's holds to its residual tolerance.
+            rel = 1e-13 if fails else 10 * tol
+            assert prep.norm == pytest.approx(_dense_norm(prep.C.entries), rel=rel)
+            if fails:
+                n = prep.C.n
+                assert form_doubles(prep.form) <= n * (n - 1) // 2 + FORM_EXTRA_PER_ROW * n
+
+    @pytest.mark.parametrize("kernel", ["se", "permuted"])
+    def test_threshold_errors_match_dense(self, kernel, monkeypatch):
+        cfg = _cfg(kernels=(KernelTemplate(kernel),), lambda_grid=(_FORM_LAM,), L=_FORM_L)
+        prep = build_prep(cfg.kernels[0], _FORM_LAM, cfg.L, 1, n_for_lambda(cfg, _FORM_LAM),
+                          cfg.norm_tol)
+        ranks = []
+        real = expmod.lowrank_update_norm
+
+        def counted(form, rows, block):
+            ranks.append(rows.size)
+            return real(form, rows, block)
+
+        monkeypatch.setattr(expmod, "lowrank_update_norm", counted)
+        for trial in range(3):
+            draw_seed, shuffle_seed = trial_seed(cfg, 0, 0, trial)
+            rec, mats = simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0, trial=trial)
+            truth = mats["truth"].entries
+            dense = _dense_norm(mats["threshold"].entries - truth) / _dense_norm(truth)
+            assert rec.err_thresh == pytest.approx(dense, rel=1e-13)
+        assert len(ranks) == 3 and all(0 < r <= expmod.LOWRANK_MAX_RANK for r in ranks)
+
+    def test_rank_above_the_cap_takes_the_spectral_norm(self, monkeypatch):
+        cfg = _cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L, trials=2)
+        lowrank = run_sweep(cfg).records
+        calls = []
+        real = expmod.spectral_norm
+
+        def counted(A, tol):
+            calls.append(tol)
+            return real(A, tol=tol)
+
+        monkeypatch.setattr(expmod, "LOWRANK_MAX_RANK", 0)
+        monkeypatch.setattr(expmod, "lowrank_update_norm", None)  # must not be called
+        monkeypatch.setattr(expmod, "spectral_norm", counted)
+        capped = run_sweep(cfg).records
+        assert len(calls) == 3 * cfg.trials  # sample, taper and threshold errors
+        for a, b in zip(lowrank, capped):
+            assert (a.err_sample, a.err_taper) == (b.err_sample, b.err_taper)
+            assert a.err_thresh == pytest.approx(b.err_thresh, rel=10 * cfg.norm_tol)
+
+    def test_rows_of_a_form_cell_round_trip(self, tmp_path):
+        records = run_sweep(_cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L)).records
+        path = tmp_path / "trials.csv"
+        emit_csv(list(records), path)
+        assert [r.err_thresh for r in load_trials(path)] == [r.err_thresh for r in records]
+
+    def test_sweep_counts_the_cells_on_the_low_rank_norm(self):
+        cfg = _cfg(lambda_grid=(_FORM_LAM, _PLAIN_LAM), L=_FORM_L, trials=1)
+        assert run_sweep(cfg).lowrank_cells == 1
+        assert run_sweep(_cfg()).lowrank_cells == 0
 
 
 class TestSummarize:

@@ -24,7 +24,7 @@ from covlab import (
     taper_weight_matrix,
     taper_weight_sumform,
 )
-from helpers import random_psd
+from helpers import random_psd, traced_peak_bytes
 
 
 class TestGrid:
@@ -105,6 +105,12 @@ class TestTaperWeight:
                 )
         np.testing.assert_array_equal(W, W.T)
         np.testing.assert_array_equal(np.diag(W), np.ones(g.n))
+
+    @pytest.mark.parametrize("d,L", [(1, 600), (2, 24)])
+    def test_weight_matrix_allocates_at_most_one_matrix_beyond_its_result(self, d, L):
+        g = build_grid(d, L)
+        peak = traced_peak_bytes(lambda: taper_weight_matrix(0.1, g))
+        assert peak <= 2.5 * g.n * g.n * 8
 
 
 class TestKernels:
