@@ -40,7 +40,6 @@ from .diagnostics import (
     lowrank_update_norm,
     m_star,
     operator_quantities,
-    rel_error,
     spectral_norm,
     tridiagonal_form,
 )
@@ -84,6 +83,6 @@ from .experiments import (
     trial_seed,
 )
 from .matrixio import dump_matrix, load_matrix
-from .svgplot import SvgAxes, emit_svg
+from .svgplot import emit_svg
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Spectral norms, effective dimension, sparsity/capacity functionals,
-banding tail sequences, the truncation pair, relative errors, and the
-Gaussian KL divergence.
+banding tail sequences, the truncation pair, and the Gaussian KL
+divergence.
 
 All operator-level quantities are grid-weighted matrix quantities: with
 h = L^-d, the operator norm is h times the matrix spectral norm and the
@@ -43,7 +43,6 @@ __all__ = [
     "NuSequence",
     "m_star",
     "eps_star",
-    "rel_error",
     "kl_gaussian",
     "kl_gaussian_both",
     "DiagnosticReport",
@@ -115,7 +114,7 @@ def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
 def _norm_and_form(A, tol: float, method: str, keep_form: bool) -> tuple:
     """(spectral norm, tridiagonal form or None); the form is built, as the
     dense solve, only with keep_form and only when ARPACK gives up."""
-    if method not in ("auto", "lanczos", "dense"):
+    if method not in ("auto", "arpack", "dense"):
         raise UsageError(f"unknown method {method!r}")
     A, asym = _checked(A, tol)
     if asym is None:
@@ -152,7 +151,9 @@ def spectral_norm(
     top eigenvector of a smooth covariance; the perturbation keeps it from
     missing a top eigenvector orthogonal to ones.  It solves densely only if
     ARPACK does not converge within max(10, n/160) restarts, so the
-    tolerance contract always holds.  A nan or inf entry is refused.
+    tolerance contract always holds.  ``method`` 'auto' solves densely up
+    to n=256 and iterates above; 'arpack' and 'dense' force one path.  A nan
+    or inf entry is refused.
     """
     return _norm_and_form(A, tol, method, keep_form=False)[0]
 
@@ -187,7 +188,6 @@ class TridiagonalForm:
 
     d: np.ndarray
     e: np.ndarray
-    tau: np.ndarray
     panels: tuple
     spectrum: np.ndarray
 
@@ -250,7 +250,7 @@ def tridiagonal_form(A: np.ndarray) -> TridiagonalForm:
     spectrum, info = (d.copy(), 0) if n == 1 else scipy.linalg.lapack.dsterf(d, e)
     if info != 0:
         raise NumericError(f"LAPACK dsterf failed with info={info}")
-    return TridiagonalForm(d=d, e=e, tau=tau, panels=panels, spectrum=spectrum)
+    return TridiagonalForm(d=d, e=e, panels=panels, spectrum=spectrum)
 
 
 def lowrank_update_norm(form: TridiagonalForm, rows: np.ndarray, block: np.ndarray) -> float:
@@ -303,13 +303,16 @@ def lowrank_update_norm(form: TridiagonalForm, rows: np.ndarray, block: np.ndarr
         all decrease in sigma, with slope -|Y u|^2 for eigenvector u; the
         step follows the one whose sign change moves the count past target.
         """
-        shifted = d + sigma
-        if n == 1:  # dgtsv needs n >= 2
-            Y, info = (G / shifted[0], 0) if shifted[0] else (None, 1)
-        else:
-            _, _, _, Y, info = scipy.linalg.lapack.dgtsv(e, shifted, e, G)
-        if info > 0:  # sigma is an eigenvalue of -T: count just above it
-            return above(float(np.nextafter(sigma, math.inf)), target)
+        while True:
+            shifted = d + sigma
+            if n == 1:  # dgtsv needs n >= 2
+                Y, info = (G / shifted[0], 0) if shifted[0] else (None, 1)
+            else:
+                _, _, _, Y, info = scipy.linalg.lapack.dgtsv(e, shifted, e, G)
+            if info <= 0:
+                break
+            # sigma is an eigenvalue of -T: count just above it
+            sigma = float(np.nextafter(sigma, math.inf))
         M = G.T @ Y
         M[np.diag_indices_from(M)] -= sign
         below = int(np.searchsorted(spectrum, -sigma))
@@ -570,17 +573,7 @@ def eps_star(nu: NuSequence, N: int, d: int) -> float:
     return max(nu.nu(m), math.sqrt((m - 1) ** d / N))
 
 
-# ------------------------------------------------------ error and KL ----
-
-
-def rel_error(Chat: CovMatrix, C: CovMatrix, *, tol: float = 1e-9) -> float:
-    """Relative spectral-norm error |Chat - C| / |C| (grid weight cancels)."""
-    if Chat.n != C.n or Chat.grid_h != C.grid_h:
-        raise UsageError("matrices come from different grids")
-    denom = spectral_norm(C.entries, tol)
-    if denom == 0.0:
-        raise UsageError("reference operator is zero; relative error undefined")
-    return spectral_norm(Chat.entries - C.entries, tol) / denom
+# ------------------------------------------------------------------ KL ----
 
 
 def _kl_directions(S1: np.ndarray, S2: np.ndarray) -> tuple:
@@ -596,6 +589,8 @@ def _kl_directions(S1: np.ndarray, S2: np.ndarray) -> tuple:
         raise UsageError(f"need square matrices of equal size, got {S1.shape} vs {S2.shape}")
     for name, S in (("S1", S1), ("S2", S2)):
         scale = float(np.max(np.abs(S)))
+        if not math.isfinite(scale):
+            raise UsageError("matrix has a non-finite entry (nan or inf)")
         if scale > 0 and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
             raise UsageError(f"{name} is not symmetric")
     S1, S2 = (S1 + S1.T) / 2.0, (S2 + S2.T) / 2.0

@@ -164,7 +164,6 @@ class TrialRecord:
     err_sample: float
     err_taper: Optional[float]
     err_thresh: Optional[float]
-    r_eff: float = math.nan  # of the true discretized kernel; not persisted to CSV
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def _columns(record_type) -> tuple:
     """
     return tuple(
         (f.name, {"str": str, "int": int}.get(f.type, float))
-        for f in fields(record_type) if f.name != "r_eff"
+        for f in fields(record_type)
     )
 
 
@@ -272,7 +271,6 @@ class Prep:
     C: CovMatrix
     factor: object
     norm: float  # matrix norm of the truth, the divisor of every relative error
-    r_eff: float
     kappa: float
     N: int
     tol: float  # residual tolerance of every spectral norm
@@ -287,7 +285,7 @@ def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
     return Prep(
         kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,
-        norm=quant.op_norm / C.grid_h, r_eff=quant.r_eff, kappa=kappa, N=N, tol=tol,
+        norm=quant.op_norm / C.grid_h, kappa=kappa, N=N, tol=tol,
         form=quant.form,
     )
 
@@ -313,7 +311,7 @@ def simulate_trial(
     base = draw_paths(prep.factor, prep.N, draw_seed)
     if prep.kernel == "permuted":
         truth, perm = shuffle_cov(prep.C, shuffle_seed)
-        S = SampleSet(paths=base.paths[:, perm], seed=draw_seed, grid_h=prep.grid.h)
+        S = SampleSet(paths=base.paths[:, perm], grid_h=prep.grid.h)
     else:
         truth, S, perm = prep.C, base, None
 
@@ -343,7 +341,7 @@ def simulate_trial(
         kernel=prep.kernel, lam=prep.lam, d=prep.grid.d, L=prep.grid.L, N=prep.N,
         trial=trial, seed=draw_seed, kappa=prep.kappa, rho_hat=rho_hat,
         err_sample=err["sample"], err_taper=err.get("taper"),
-        err_thresh=err.get("threshold"), r_eff=prep.r_eff,
+        err_thresh=err.get("threshold"),
     )
     return record, matrices
 
@@ -500,16 +498,9 @@ def trial_row(rec: TrialRecord) -> list:
     return _cells(rec, _CSV_KINDS["trials"][1])
 
 
-def emit_csv(rows: Sequence, path, kind: Optional[str] = None) -> None:
-    """Write trial or summary rows in canonical order, shortest decimals.
-
-    kind ('trials' or 'summary') is inferred from the first row; it must be
-    given explicitly for an empty list.
-    """
-    if kind is None:
-        if not rows:
-            raise UsageError("emit_csv needs an explicit kind for an empty row list")
-        kind = "trials" if isinstance(rows[0], TrialRecord) else "summary"
+def emit_csv(rows: Sequence, path, kind: str) -> None:
+    """Write trial or summary rows (kind 'trials' or 'summary') in canonical
+    order, shortest decimals."""
     if kind not in _CSV_KINDS:
         raise UsageError(f"kind must be 'trials' or 'summary', got {kind!r}")
     _, columns, order = _CSV_KINDS[kind]
@@ -540,7 +531,7 @@ def _load(path, kind: str) -> list:
 
 
 def load_trials(path) -> list:
-    """Parse a trials CSV back to records ('na' reads None; r_eff is NaN)."""
+    """Parse a trials CSV back to records ('na' reads None)."""
     return _load(path, "trials")
 
 

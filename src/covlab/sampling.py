@@ -17,6 +17,9 @@ from .grid_kernel import CovMatrix
 
 __all__ = ["CholFactor", "SampleSet", "cholesky_psd", "draw_paths", "sample_cov"]
 
+# Largest diagonal shift cholesky_psd tries, relative to tr(C)/n.
+_JITTER_BUDGET = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class CholFactor:
@@ -33,10 +36,9 @@ class CholFactor:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """N Gaussian path evaluations on the grid plus the seed that made them."""
+    """N Gaussian path evaluations on the grid."""
 
     paths: np.ndarray  # (N, n)
-    seed: int
     grid_h: float
 
     @property
@@ -53,15 +55,13 @@ def _most_negative_pivot(matrix: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(diag)))
 
 
-def cholesky_psd(C: CovMatrix, jitter_budget: float = 1e-6) -> CholFactor:
+def cholesky_psd(C: CovMatrix) -> CholFactor:
     """Factor C, escalating a relative diagonal shift when it is not PD.
 
     The ladder starts at 1e-12 * tr(C)/n and multiplies by 10 until either
     the factorization succeeds or the shift would exceed
-    jitter_budget * tr(C)/n.
+    _JITTER_BUDGET * tr(C)/n.
     """
-    if jitter_budget < 0:
-        raise UsageError(f"jitter budget must be >= 0, got {jitter_budget}")
     A = C.entries
     n = C.n
     scale = float(np.trace(A)) / n
@@ -72,10 +72,10 @@ def cholesky_psd(C: CovMatrix, jitter_budget: float = 1e-6) -> CholFactor:
             return CholFactor(lower=lower, jitter_used=jitter, grid_h=C.grid_h)
         except np.linalg.LinAlgError:
             next_jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
-            if next_jitter > jitter_budget * scale or next_jitter == 0.0:
+            if next_jitter > _JITTER_BUDGET * scale or next_jitter == 0.0:
                 pivot = _most_negative_pivot(A + jitter * np.eye(n))
                 raise NumericError(
-                    f"matrix is not PSD within jitter budget {jitter_budget:g} "
+                    f"matrix is not PSD within jitter budget {_JITTER_BUDGET:g} "
                     f"(relative scale tr/n = {scale:.6g}); most negative pivot "
                     f"{pivot:.6e}"
                 ) from None
@@ -94,14 +94,17 @@ def draw_paths(factor: CholFactor, N: int, seed: int) -> SampleSet:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
         paths[i] = factor.lower @ gen.standard_normal(n)
     paths.setflags(write=False)
-    return SampleSet(paths=paths, seed=seed, grid_h=factor.grid_h)
+    return SampleSet(paths=paths, grid_h=factor.grid_h)
 
 
 def sample_cov(S: SampleSet) -> CovMatrix:
     """Uncentered sample covariance (1/N) sum_n u_n u_n^T.
 
-    The model is centered, so no mean is subtracted.  The Gram product is
-    re-symmetrized bitwise; BLAS output is only symmetric up to rounding.
+    The model is centered, so no mean is subtracted.  numpy computes the
+    Gram product P^T P of one array with its own transpose on BLAS's syrk
+    path, which fills one triangle and mirrors it, so the result is exactly
+    symmetric without a pass of its own; CovMatrix would refuse it if not.
     """
-    G = (S.paths.T @ S.paths) / S.N
-    return CovMatrix(entries=(G + G.T) / 2.0, grid_h=S.grid_h)
+    G = S.paths.T @ S.paths
+    G /= S.N
+    return CovMatrix(entries=G, grid_h=S.grid_h)

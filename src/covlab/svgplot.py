@@ -9,14 +9,13 @@ scripts or external assets, so files render anywhere and diff cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
 from .errors import UsageError
 
-__all__ = ["SvgAxes", "emit_svg"]
+__all__ = ["emit_svg"]
 
 _SERIES = (
     ("mean_sample", "ci_sample", "sample", "#1f77b4", "7,4"),
@@ -26,25 +25,10 @@ _SERIES = (
 _N_COLOR = "#2ca02c"
 
 
-@dataclass(frozen=True)
-class SvgAxes:
-    """Canvas geometry and labels; pixels throughout."""
-
-    width: int = 720
-    height: int = 480
-    margin_left: int = 70
-    margin_right: int = 70
-    margin_top: int = 44
-    margin_bottom: int = 52
-    x_label: str = "lengthscale"
-    y_label: str = "relative error"
-    n_label: str = "N"
-
-    def __post_init__(self) -> None:
-        if self.width - self.margin_left - self.margin_right < 50:
-            raise UsageError("plot area too narrow")
-        if self.height - self.margin_top - self.margin_bottom < 50:
-            raise UsageError("plot area too short")
+# Canvas geometry in pixels, and the axis labels.
+_WIDTH, _HEIGHT = 720, 480
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 70, 44, 52
+_X_LABEL, _Y_LABEL, _N_LABEL = "lengthscale", "relative error", "N"
 
 
 def _fmt_px(v: float) -> str:
@@ -56,8 +40,7 @@ def _decade_label(exp: int) -> str:
 
 
 class _Canvas:
-    def __init__(self, axes: SvgAxes) -> None:
-        self.axes = axes
+    def __init__(self) -> None:
         self.parts = []
 
     def add(self, element: str) -> None:
@@ -91,13 +74,12 @@ class _Canvas:
             f"{escape(s)}</text>"
         )
 
-    def render(self, title: str) -> str:
-        a = self.axes
+    def render(self) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{a.width}" '
-            f'height="{a.height}" viewBox="0 0 {a.width} {a.height}">\n'
-            f'<rect x="0" y="0" width="{a.width}" height="{a.height}" fill="white" />\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white" />\n'
         )
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
@@ -109,11 +91,10 @@ def _log_ticks(lo: float, hi: float):
     return [k for k in range(first, last + 1)]
 
 
-def emit_svg(summaries: Sequence, out_dir, axes: Optional[SvgAxes] = None) -> list:
+def emit_svg(summaries: Sequence, out_dir) -> list:
     """Write one SVG per kernel found in the summaries; returns the paths."""
     if not summaries:
         raise UsageError("nothing to plot: empty summary list")
-    axes = axes or SvgAxes()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernels = []
@@ -124,15 +105,14 @@ def emit_svg(summaries: Sequence, out_dir, axes: Optional[SvgAxes] = None) -> li
     for kernel in kernels:
         rows = sorted((r for r in summaries if r.kernel == kernel), key=lambda r: r.lam)
         path = out / f"{kernel}.svg"
-        path.write_text(_render_kernel(kernel, rows, axes))
+        path.write_text(_render_kernel(kernel, rows))
         written.append(str(path))
     return written
 
 
-def _render_kernel(kernel: str, rows, axes: SvgAxes) -> str:
-    a = axes
-    x0, x1 = a.margin_left, a.width - a.margin_right
-    y0, y1 = a.margin_top, a.height - a.margin_bottom
+def _render_kernel(kernel: str, rows) -> str:
+    x0, x1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
+    y0, y1 = _MARGIN_TOP, _HEIGHT - _MARGIN_BOTTOM
 
     xs = [math.log10(r.lam) for r in rows]
     xlo, xhi = min(xs), max(xs)
@@ -170,7 +150,7 @@ def _render_kernel(kernel: str, rows, axes: SvgAxes) -> str:
     def pn(n: float) -> float:
         return y1 - n / n_hi * (y1 - y0)
 
-    c = _Canvas(a)
+    c = _Canvas()
     c.add(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
           'fill="none" stroke="#999999" />')
     c.text((x0 + x1) / 2, 20, f"{kernel}: relative spectral error vs lengthscale", size=14)
@@ -180,21 +160,21 @@ def _render_kernel(kernel: str, rows, axes: SvgAxes) -> str:
         c.line(gx, y0, gx, y1, "#dddddd", width=0.6)
         c.line(gx, y1, gx, y1 + 4, "#666666")
         c.text(gx, y1 + 18, _decade_label(k))
-    c.text((x0 + x1) / 2, a.height - 14, a.x_label)
+    c.text((x0 + x1) / 2, _HEIGHT - 14, _X_LABEL)
 
     for k in _log_ticks(ylo, yhi):
         gy = py(10.0**k)
         c.line(x0, gy, x1, gy, "#dddddd", width=0.6)
         c.line(x0 - 4, gy, x0, gy, "#666666")
         c.text(x0 - 8, gy + 4, _decade_label(k), anchor="end")
-    c.text(18, (y0 + y1) / 2, a.y_label, rotate=-90)
+    c.text(18, (y0 + y1) / 2, _Y_LABEL, rotate=-90)
 
     for frac in (0.0, 0.5, 1.0):
         n_val = frac * n_hi
         gy = pn(n_val)
         c.line(x1, gy, x1 + 4, gy, _N_COLOR)
         c.text(x1 + 8, gy + 4, f"{n_val:.0f}", anchor="start", color=_N_COLOR)
-    c.text(a.width - 16, (y0 + y1) / 2, a.n_label, color=_N_COLOR, rotate=90)
+    c.text(_WIDTH - 16, (y0 + y1) / 2, _N_LABEL, color=_N_COLOR, rotate=90)
 
     for mean_f, ci_f, label, color, dash in _SERIES:
         pts = [(px(lx), py(getattr(r, mean_f))) for lx, r in zip(xs, rows)]
@@ -223,4 +203,4 @@ def _render_kernel(kernel: str, rows, axes: SvgAxes) -> str:
         c.line(legend_x, ly - 4, legend_x + 26, ly - 4, color, width=1.6, dash=dash)
         c.text(legend_x + 32, ly, label, anchor="start", size=11)
 
-    return c.render(kernel)
+    return c.render()

@@ -37,11 +37,11 @@ def traced_peak_bytes(fn) -> int:
 # Doubles a tridiagonal form may hold per row beyond half of the matrix:
 # each compact-WY panel of w reflectors adds its w x w factor and the
 # zeros and ones above its vectors, about 1.5 w per row, plus the O(n)
-# arrays d, e, tau and the spectrum.
-FORM_EXTRA_PER_ROW = 3 * covlab.diagnostics._REFLECTOR_PANEL // 2 + 4
+# arrays d, e and the spectrum.
+FORM_EXTRA_PER_ROW = 3 * covlab.diagnostics._REFLECTOR_PANEL // 2 + 3
 
 
 def form_doubles(form) -> int:
     """Doubles held by a TridiagonalForm."""
-    flat = sum(a.size for a in (form.d, form.e, form.tau, form.spectrum))
+    flat = sum(a.size for a in (form.d, form.e, form.spectrum))
     return flat + sum(V.size + S.size for V, S in form.panels)

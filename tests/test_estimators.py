@@ -153,33 +153,33 @@ class TestChooseKappa:
 
 class TestAdaptiveThreshold:
     def test_zero_paths_give_zero(self):
-        S = SampleSet(paths=np.zeros((3, 5)), seed=0, grid_h=0.2)
+        S = SampleSet(paths=np.zeros((3, 5)), grid_h=0.2)
         assert adaptive_threshold(S, 2.0, 1.0) == 0.0
 
     def test_single_path_worked_example(self):
-        S = SampleSet(paths=np.array([[0.5, 2.0, -1.0]]), seed=0, grid_h=1 / 3)
+        S = SampleSet(paths=np.array([[0.5, 2.0, -1.0]]), grid_h=1 / 3)
         # c0 * sqrt(k_inf) / sqrt(N) * mean of per-path maxima = 2 * 1 * 2 / 1
         assert adaptive_threshold(S, 2.0, 1.0) == pytest.approx(4.0)
 
     def test_signed_supremum_can_go_negative(self):
-        S = SampleSet(paths=np.array([[-3.0, -1.0]]), seed=0, grid_h=0.5)
+        S = SampleSet(paths=np.array([[-3.0, -1.0]]), grid_h=0.5)
         assert adaptive_threshold(S, 1.0, 1.0) == pytest.approx(-1.0)
 
     def test_homogeneity_with_known_k_inf(self):
         rng = np.random.default_rng(5)
         paths = rng.standard_normal((6, 8))
-        base = adaptive_threshold(SampleSet(paths=paths, seed=0, grid_h=1 / 8), 2.0, 1.0)
+        base = adaptive_threshold(SampleSet(paths=paths, grid_h=1 / 8), 2.0, 1.0)
         doubled = adaptive_threshold(
-            SampleSet(paths=2.0 * paths, seed=0, grid_h=1 / 8), 2.0, 1.0
+            SampleSet(paths=2.0 * paths, grid_h=1 / 8), 2.0, 1.0
         )
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_negative_known_value_rejected(self):
-        S = SampleSet(paths=np.ones((2, 3)), seed=0, grid_h=1 / 3)
+        S = SampleSet(paths=np.ones((2, 3)), grid_h=1 / 3)
         with pytest.raises(UsageError):
             adaptive_threshold(S, 2.0, -1.0)
 
     def test_nonpositive_c0_rejected(self):
-        S = SampleSet(paths=np.ones((2, 3)), seed=0, grid_h=1 / 3)
+        S = SampleSet(paths=np.ones((2, 3)), grid_h=1 / 3)
         with pytest.raises(UsageError):
             adaptive_threshold(S, 0.0, 1.0)

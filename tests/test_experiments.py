@@ -117,7 +117,6 @@ class TestRunTrial:
         assert rec.N == n_for_lambda(cfg, 0.05)
         assert rec.err_sample >= 0 and rec.err_taper >= 0 and rec.err_thresh >= 0
         assert math.isfinite(rec.rho_hat)
-        assert rec.r_eff > 0
 
     def test_negative_adaptive_level_keeps_every_entry(self):
         # At N=2 the signed-sup mean can dip below zero; the thresholded
@@ -318,7 +317,7 @@ class TestTridiagonalFormCells:
     def test_rows_of_a_form_cell_round_trip(self, tmp_path):
         records = run_sweep(_cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L)).records
         path = tmp_path / "trials.csv"
-        emit_csv(list(records), path)
+        emit_csv(list(records), path, kind="trials")
         assert [r.err_thresh for r in load_trials(path)] == [r.err_thresh for r in records]
 
     def test_sweep_counts_the_cells_on_the_low_rank_norm(self):
@@ -332,7 +331,6 @@ class TestSummarize:
         return TrialRecord(
             kernel="se", lam=lam, d=1, L=48, N=15, trial=trial, seed=trial,
             kappa=0.1, rho_hat=0.2, err_sample=es, err_taper=et, err_thresh=eh,
-            r_eff=10.0,
         )
 
     def test_identical_trials_have_zero_halfwidth(self):
@@ -368,7 +366,7 @@ class TestSummarize:
         b = TrialRecord(
             kernel="se", lam=0.05, d=1, L=48, N=99, trial=1, seed=1,
             kappa=0.1, rho_hat=0.2, err_sample=1.0, err_taper=1.0,
-            err_thresh=1.0, r_eff=10.0,
+            err_thresh=1.0,
         )
         with pytest.raises(UsageError):
             summarize([a, b])
@@ -385,7 +383,7 @@ class TestCsv:
         ]
         for rows in (records, not_run):
             path = tmp_path / "trials.csv"
-            emit_csv(rows, path)
+            emit_csv(rows, path, kind="trials")
             text = path.read_text()
             assert text.splitlines()[0] == TRIAL_HEADER
             loaded = load_trials(path)
@@ -396,8 +394,6 @@ class TestCsv:
                     "rho_hat", "err_sample", "err_taper", "err_thresh",
                 ):
                     assert getattr(got, field) == getattr(want, field)
-            # the persisted schema intentionally omits the derived r_eff column
-            assert all(math.isnan(r.r_eff) for r in loaded)
         assert text.count(",na") == 3 * len(not_run)
 
     @pytest.mark.parametrize("edit, message", [
@@ -407,7 +403,7 @@ class TestCsv:
     ], ids=["short", "long", "unparsable"])
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
         path = tmp_path / "trials.csv"
-        emit_csv(run_sweep(_cfg(trials=2)).records, path)
+        emit_csv(run_sweep(_cfg(trials=2)).records, path, kind="trials")
         lines = path.read_text().splitlines()
         lines[2] = ",".join(edit(lines[2].split(",")))
         path.write_text("\n".join(lines) + "\n")
@@ -419,14 +415,12 @@ class TestCsv:
         cfg = _cfg(trials=3)
         rows = summarize(run_sweep(cfg).records)
         path = tmp_path / "summary.csv"
-        emit_csv(rows, path)
+        emit_csv(rows, path, kind="summary")
         assert path.read_text().splitlines()[0] == SUMMARY_HEADER
         assert load_summaries(path) == rows
 
     def test_empty_needs_explicit_kind(self, tmp_path):
         path = tmp_path / "empty.csv"
-        with pytest.raises(UsageError):
-            emit_csv([], path)
         emit_csv([], path, kind="trials")
         assert path.read_text() == TRIAL_HEADER + "\n"
 
@@ -435,7 +429,7 @@ class TestCsv:
         records = list(run_sweep(cfg).records)
         shuffled = [records[1], records[0]]
         path = tmp_path / "trials.csv"
-        emit_csv(shuffled, path)
+        emit_csv(shuffled, path, kind="trials")
         trials = [r.trial for r in load_trials(path)]
         assert trials == [0, 1]
 
@@ -446,7 +440,7 @@ class TestCsv:
             ci_thresh=None,
         )
         path = tmp_path / "summary.csv"
-        emit_csv([row], path)
+        emit_csv([row], path, kind="summary")
         assert ",na" in path.read_text()
         assert load_summaries(path)[0].ci_sample is None
 
@@ -465,7 +459,7 @@ class TestCsv:
             ci_thresh=0.125,
         )
         path = tmp_path / "summary.csv"
-        emit_csv([row], path)
+        emit_csv([row], path, kind="summary")
         body = path.read_text().splitlines()[1]
         assert "0.3333333333333333" in body
         assert "0.1" in body.split(",")

@@ -6,7 +6,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from covlab import SummaryRow, SvgAxes, UsageError, dump_matrix, emit_svg, load_matrix
+from covlab import SummaryRow, UsageError, dump_matrix, emit_svg, load_matrix
 
 
 def _row(kernel="se", lam=0.05, mean=0.8, ci=0.1, N=15, trials=5):
@@ -68,10 +68,6 @@ class TestSvg:
         )
         with pytest.raises(UsageError):
             emit_svg([row], tmp_path)
-
-    def test_degenerate_canvas_rejected(self):
-        with pytest.raises(UsageError):
-            SvgAxes(width=100)
 
     def test_deterministic_output(self, tmp_path):
         rows = [_row(lam=0.05), _row(lam=0.2)]

@@ -60,7 +60,6 @@ class TestDrawPaths:
         a = draw_paths(fac, 4, 99)
         b = draw_paths(fac, 4, 99)
         np.testing.assert_array_equal(a.paths, b.paths)
-        assert a.seed == 99
 
     def test_seed_changes_draws(self):
         rng = np.random.default_rng(5)
@@ -95,23 +94,39 @@ class TestDrawPaths:
 
 class TestSampleCov:
     def test_single_path_outer_product(self):
-        S = SampleSet(paths=np.array([[1.0, 2.0]]), seed=0, grid_h=0.5)
+        S = SampleSet(paths=np.array([[1.0, 2.0]]), grid_h=0.5)
         np.testing.assert_array_equal(
             sample_cov(S).entries, [[1.0, 2.0], [2.0, 4.0]]
         )
 
     def test_zero_paths_give_zero_matrix(self):
-        S = SampleSet(paths=np.zeros((3, 4)), seed=0, grid_h=0.25)
+        S = SampleSet(paths=np.zeros((3, 4)), grid_h=0.25)
         np.testing.assert_array_equal(sample_cov(S).entries, np.zeros((4, 4)))
 
     def test_no_mean_centering(self):
         # Constant paths have second moment c^2, not variance 0.
-        S = SampleSet(paths=np.full((6, 3), 2.0), seed=0, grid_h=1 / 3)
+        S = SampleSet(paths=np.full((6, 3), 2.0), grid_h=1 / 3)
         np.testing.assert_allclose(sample_cov(S).entries, 4.0)
 
     def test_output_is_exactly_symmetric_psd(self):
         rng = np.random.default_rng(10)
-        S = SampleSet(paths=rng.standard_normal((7, 12)), seed=0, grid_h=1 / 12)
+        S = SampleSet(paths=rng.standard_normal((7, 12)), grid_h=1 / 12)
         Chat = sample_cov(S)
         np.testing.assert_array_equal(Chat.entries, Chat.entries.T)
         assert np.linalg.eigvalsh(Chat.entries).min() >= -1e-12
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["grid", "permuted"])
+    @pytest.mark.parametrize("N", [2, 20, 35])
+    def test_gram_is_bitwise_symmetric_at_sweep_size(self, N, permuted):
+        # sample_cov relies on numpy's P^T P being exactly symmetric (the
+        # syrk path) at the sweep's n=1250, also for the column-shuffled
+        # copy a permuted trial makes, so it equals (G + G^T) / 2 bit for bit.
+        rng = np.random.default_rng(N)
+        paths = rng.standard_normal((N, 1250))
+        if permuted:
+            paths = paths[:, rng.permutation(1250)]
+        gram = paths.T @ paths
+        np.testing.assert_array_equal(gram, gram.T)
+        got = sample_cov(SampleSet(paths=paths, grid_h=1 / 1250)).entries
+        G = gram / N
+        np.testing.assert_array_equal(got, (G + G.T) / 2.0)
