@@ -8,6 +8,7 @@ prints its fully resolved configuration before doing any work.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -403,6 +404,7 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------- main ----
 
 
+@functools.cache  # one parser per process: each build leaves cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covlab",

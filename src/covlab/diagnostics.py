@@ -18,7 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.special
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import NumericError, UsageError
 from .grid_kernel import (
@@ -69,12 +69,14 @@ def _asymmetry(A: np.ndarray, rows: int = 64) -> float:
 
 def _checked(A, tol: float) -> tuple:
     """(A as float64, its asymmetry) after the spectral-norm input checks;
-    the asymmetry is None for an empty or all-zero matrix."""
+    None for an empty matrix or all-zero array.  A CovMatrix is not scanned."""
+    if not (1e-14 < tol < 1e-2):
+        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
+    if isinstance(A, CovMatrix):
+        return np.asarray(A.entries, dtype=np.float64), 0.0 if A.n else None
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise UsageError(f"spectral_norm needs a square matrix, got {A.shape}")
-    if not (1e-14 < tol < 1e-2):
-        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
     if not A.size:
         return A, None
     hi, lo = float(A.max()), float(A.min())
@@ -106,7 +108,7 @@ def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
             A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // 160),
             return_eigenvectors=False,
         )
-    except ArpackNoConvergence:
+    except ArpackError:  # no convergence, or error -9 on an all-zero A
         return None
     return float(abs(top[0]))
 
@@ -136,7 +138,7 @@ def _norm_and_form(A, tol: float, method: str, keep_form: bool) -> tuple:
 
 
 def spectral_norm(
-    A: np.ndarray,
+    A: np.ndarray | CovMatrix,
     tol: float = 1e-9,
     *,
     method: str = "auto",
@@ -153,7 +155,7 @@ def spectral_norm(
     ARPACK does not converge within max(10, n/160) restarts, so the
     tolerance contract always holds.  ``method`` 'auto' solves densely up
     to n=256 and iterates above; 'arpack' and 'dense' force one path.  A nan
-    or inf entry is refused.
+    or inf entry of an array is refused; a CovMatrix is not scanned again.
     """
     return _norm_and_form(A, tol, method, keep_form=False)[0]
 
@@ -399,7 +401,7 @@ def operator_quantities(
     """
     trace_m = float(np.trace(C.entries))
     if keep_form:
-        norm_m, form = _norm_and_form(C.entries, tol, "auto", keep_form=True)
+        norm_m, form = _norm_and_form(C, tol, "auto", keep_form=True)
     else:
         norm_m, form = spectral_norm(C.entries, tol), None
     if norm_m == 0.0:

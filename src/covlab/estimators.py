@@ -30,23 +30,21 @@ def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
     The diagonal is unchanged (the ramp is 1 at zero separation) and entries
     whose largest coordinate gap reaches 2*kappa are exactly zero.
     """
-    if not kappa > 0:
-        raise UsageError(f"kappa must be > 0, got {kappa}")
-    if Chat.entries.shape[0] != grid.n:
-        raise UsageError(
-            f"matrix size {Chat.entries.shape[0]} does not match grid size {grid.n}"
-        )
+    if Chat.n != grid.n:
+        raise UsageError(f"matrix size {Chat.n} does not match grid size {grid.n}")
     weights = taper_weight_matrix(kappa, grid)
     weights *= Chat.entries
-    return CovMatrix(entries=weights, grid_h=Chat.grid_h)
+    return CovMatrix._derived(weights, Chat.grid_h)  # the ramp is symmetric, in [0, 1]
 
 
 def threshold_estimate(Chat: CovMatrix, rho: float) -> CovMatrix:
     """Hard thresholding: keep entries with |entry| >= rho (ties kept)."""
     if rho < 0:
         raise UsageError(f"threshold level must be >= 0, got {rho}")
-    kept = Chat.entries * (np.abs(Chat.entries) >= rho)
-    return CovMatrix(entries=kept, grid_h=Chat.grid_h)
+    kept = np.abs(Chat.entries)
+    np.greater_equal(kept, rho, out=kept)
+    kept *= Chat.entries  # entry * (|entry| >= rho): a dropped negative entry is -0.0
+    return CovMatrix._derived(kept, Chat.grid_h)
 
 
 def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:

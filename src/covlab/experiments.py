@@ -317,11 +317,16 @@ def simulate_trial(
 
     Chat = sample_cov(S)
     matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
-    err = {"sample": spectral_norm(Chat.entries - truth.entries, tol=prep.tol) / prep.norm}
+
+    def error(est: CovMatrix) -> float:  # |est - truth|; a difference of CovMatrix needs no check
+        diff = CovMatrix._derived(est.entries - truth.entries, truth.grid_h)
+        return spectral_norm(diff, tol=prep.tol)
+
+    err = {"sample": error(Chat) / prep.norm}
     rho_hat = None
     if "taper" in estimators:
         est = taper_estimate(Chat, prep.kappa, prep.grid)
-        err["taper"] = spectral_norm(est.entries - truth.entries, tol=prep.tol) / prep.norm
+        err["taper"] = error(est) / prep.norm
         if keep_matrices:
             matrices["taper"] = est
         del est
@@ -334,7 +339,7 @@ def simulate_trial(
         # zero.  The record still carries the raw level.
         est = threshold_estimate(Chat, max(rho_hat, 0.0))
         del Chat  # the sample estimate is not needed past this point
-        err["threshold"] = _threshold_error_norm(prep, est.entries, truth.entries, perm) / prep.norm
+        err["threshold"] = _threshold_error_norm(prep, est, perm, error) / prep.norm
         if keep_matrices:
             matrices["threshold"] = est
     record = TrialRecord(
@@ -346,16 +351,16 @@ def simulate_trial(
     return record, matrices
 
 
-def _threshold_error_norm(prep: Prep, est: np.ndarray, truth: np.ndarray, perm) -> float:
+def _threshold_error_norm(prep: Prep, est: CovMatrix, perm, error) -> float:
     """|est - truth|, from the prep's tridiagonal form when it holds one and
-    the estimate keeps at most LOWRANK_MAX_RANK rows; perm maps the rows of
-    a shuffled truth to its base."""
+    the estimate keeps at most LOWRANK_MAX_RANK rows, else error(est); perm
+    maps the rows of a shuffled truth to its base."""
     if prep.form is not None:
-        rows = np.flatnonzero(est.any(axis=1))
+        rows = np.flatnonzero(est.entries.any(axis=1))
         if rows.size <= LOWRANK_MAX_RANK:
-            block = est[np.ix_(rows, rows)]
+            block = est.entries[np.ix_(rows, rows)]
             return lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
-    return spectral_norm(est - truth, tol=prep.tol)
+    return error(est)
 
 
 def run_trial(

@@ -185,13 +185,7 @@ class PiecewiseConstant:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise UsageError(f"lift matrix must be square, got shape {v.shape}")
-        if not np.array_equal(v, v.T):
-            raise UsageError("lift matrix must be exactly symmetric")
-        if not np.all(np.isfinite(v)):
-            raise UsageError("lift matrix must be finite")
+        v = CovMatrix(np.asarray(self.values, float), 1.0).entries  # square, finite, symmetric
         eigs = np.linalg.eigvalsh(v)
         scale = float(np.max(np.abs(eigs))) if v.size else 0.0
         if eigs.size and eigs[0] < -1e-10 * scale:
@@ -270,6 +264,14 @@ class CovMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @classmethod
+    def _derived(cls, entries: np.ndarray, grid_h: float) -> "CovMatrix":
+        """A CovMatrix without the O(n^2) checks: only for entries derived from
+        checked ones by an operation that keeps them finite and exactly symmetric."""
+        C = object.__new__(cls)
+        C.__dict__.update(entries=entries, grid_h=grid_h)
+        return C
+
 
 def fisher_yates_permutation(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of range(n) from a counter-based generator.
@@ -288,7 +290,7 @@ def fisher_yates_permutation(n: int, seed: int) -> np.ndarray:
 def shuffle_cov(C: CovMatrix, seed: int) -> tuple[CovMatrix, np.ndarray]:
     """(C[perm, :][:, perm], perm) for the seeded Fisher-Yates permutation perm."""
     perm = fisher_yates_permutation(C.n, seed)
-    return CovMatrix(entries=C.entries[np.ix_(perm, perm)], grid_h=C.grid_h), perm
+    return CovMatrix._derived(C.entries.take(perm, 0).take(perm, 1), C.grid_h), perm
 
 
 def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
@@ -358,8 +360,8 @@ def taper_weight_sumform(kappa: float, x, y) -> float:
 
 def taper_weight_matrix(kappa: float, grid: Grid) -> np.ndarray:
     """All-pairs taper weights on a grid, one (n, n) block per axis."""
-    if not kappa > 0:
-        raise UsageError(f"taper radius must be > 0, got {kappa}")
+    if not 0 < kappa < np.inf:  # an infinite radius would give nan weights
+        raise UsageError(f"taper radius must be finite and > 0, got {kappa}")
     # Built in place: the first axis's ramp becomes the result, and each
     # later axis reuses one scratch array.
     w = t = None

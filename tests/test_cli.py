@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, resolved-config echo, file outputs."""
 
 import csv
+import gc
 import re
 from pathlib import Path
 
@@ -10,7 +11,16 @@ import pytest
 import covlab.cli
 import covlab.diagnostics
 import covlab.experiments
-from covlab import load_matrix, load_summaries, load_trials
+from covlab import (
+    ExperimentConfig,
+    KernelTemplate,
+    SampleSet,
+    UsageError,
+    load_matrix,
+    load_summaries,
+    load_trials,
+    run_trial,
+)
 from covlab.cli import main, parse_config_file
 from covlab.experiments import TRIAL_HEADER
 
@@ -227,6 +237,27 @@ class TestSweepCommand:
         assert sum(line.startswith("  kernel=") for line in lines) == 4
         assert lines[-1].startswith("sweep: 4 trials, 4 failed, 0 of 2 cells ")
 
+    def test_trial_whose_gram_has_a_nan_is_a_counted_failure(self, capsys, tmp_path, monkeypatch):
+        real = covlab.experiments.draw_paths
+
+        def with_nan(factor, N, seed):
+            paths = real(factor, N, seed).paths.copy()
+            paths[0, 3] = np.nan
+            return SampleSet(paths=paths, grid_h=factor.grid_h)
+
+        monkeypatch.setattr(covlab.experiments, "draw_paths", with_nan)
+        cfg = ExperimentConfig(kernels=(KernelTemplate("se"),), lambda_grid=(0.2,), L=32)
+        with pytest.raises(UsageError, match="non-finite"):
+            run_trial(cfg.kernels[0], 0.2, cfg, 0)
+        code, _, err = _run(
+            capsys, ["sweep", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        lines = err.splitlines()
+        failures = [line for line in lines if line.startswith("  kernel=")]
+        assert len(failures) == 4 and all("non-finite entries" in line for line in failures)
+        assert lines[-1].startswith("sweep: 4 trials, 4 failed, ")
+
     def test_plot_flag_adds_svg(self, capsys, tmp_path):
         cfg = _write_config(tmp_path)
         out_dir = tmp_path / "out"
@@ -423,3 +454,22 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "8", "--frob"])
         assert excinfo.value.code == 2
+
+    def test_a_second_call_leaves_no_parser_garbage(self, capsys):
+        # An argparse parser is full of reference cycles; one built per call
+        # would leave hundreds of objects to the collector each time.
+        argv = ["estimate", "--kernel", "se", "--lambda", "0.1", "--L", "8", "--N", "0",
+                "--estimator", "sample"]
+        assert main(argv) == 2
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 2
+            gc.collect()
+            leftovers = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leftovers == []

@@ -89,6 +89,29 @@ class TestSpectralNorm:
         with pytest.raises(UsageError):
             spectral_norm(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_nonsymmetric_on_the_iterative_path(self):
+        A = random_symmetric(np.random.default_rng(3), 400)
+        A[0, 1] += 1e-6
+        with pytest.raises(UsageError, match="not symmetric"):
+            spectral_norm(A)
+
+    @pytest.mark.parametrize("n", [50, 300], ids=["dense", "arpack"])
+    def test_cov_matrix_gives_the_array_result(self, n):
+        # Its entries are not scanned again, and the norm keeps its bits.
+        C = discretize(SquaredExponential(0.05), build_grid(1, n))
+        assert spectral_norm(C, tol=1e-9) == spectral_norm(C.entries, tol=1e-9)
+
+    def test_all_zero_cov_matrix(self):
+        # ARPACK cannot start on it (error -9); the dense solve gives 0.
+        assert spectral_norm(CovMatrix(entries=np.zeros((300, 300)), grid_h=1.0)) == 0.0
+
+    def test_cov_matrix_still_checks_tolerance_and_method(self):
+        C = CovMatrix(entries=np.eye(3), grid_h=1.0)
+        with pytest.raises(UsageError, match="tolerance"):
+            spectral_norm(C, tol=0.5)
+        with pytest.raises(UsageError, match="unknown method"):
+            spectral_norm(C, method="power")
+
     def test_iterative_path_is_named_after_its_solver(self):
         with pytest.raises(UsageError, match="unknown method 'lanczos'"):
             spectral_norm(np.eye(3), method="lanczos")

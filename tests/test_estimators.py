@@ -90,6 +90,11 @@ class TestTaperEstimate:
         with pytest.raises(UsageError):
             taper_estimate(_chat(np.eye(3), 3), 0.2, g)  # size mismatch
 
+    def test_rejects_an_infinite_radius(self):
+        # (2 kappa - t) / kappa would be inf / inf, a nan weight.
+        with pytest.raises(UsageError, match="finite"):
+            taper_estimate(_chat(np.eye(4), 4), math.inf, build_grid(1, 4))
+
 
 class TestThresholdEstimate:
     def test_zero_level_is_identity(self):
@@ -115,6 +120,12 @@ class TestThresholdEstimate:
         Chat = _chat([[1.0, -0.4], [-0.4, 1.0]], 2)
         kept = threshold_estimate(Chat, 0.35)
         assert kept.entries[0, 1] == -0.4
+
+    def test_dropped_negative_entry_is_negative_zero(self):
+        # entry * (|entry| >= level): the sign bit of a dropped negative
+        # entry stays, and with it the bytes of a dumped estimate.
+        dropped = threshold_estimate(_chat([[1.0, -0.2], [-0.2, 1.0]], 2), 0.5).entries
+        assert dropped[0, 1] == 0.0 and np.signbit(dropped[0, 1]) and np.signbit(dropped[1, 0])
 
     def test_idempotent_and_monotone_support(self):
         rng = np.random.default_rng(4)

@@ -10,6 +10,7 @@ import pytest
 import covlab.diagnostics
 import covlab.experiments as expmod
 from covlab import (
+    CovMatrix,
     ExperimentConfig,
     KernelTemplate,
     SummaryRow,
@@ -313,6 +314,31 @@ class TestTridiagonalFormCells:
         for a, b in zip(lowrank, capped):
             assert (a.err_sample, a.err_taper) == (b.err_sample, b.err_taper)
             assert a.err_thresh == pytest.approx(b.err_thresh, rel=10 * cfg.norm_tol)
+
+    @pytest.mark.parametrize("lam, norms, lowranks", [
+        (_PLAIN_LAM, 3, 0),  # sample, taper and threshold errors
+        (_FORM_LAM, 2, 1),  # the threshold error from the truth's form
+    ], ids=["no-form", "form"])
+    def test_every_error_norm_goes_through_spectral_norm(self, monkeypatch, lam, norms, lowranks):
+        # The benchmark's traced norm layer wraps experiments.spectral_norm,
+        # so an error norm taken past it would vanish from the trace.
+        cfg = _cfg(lambda_grid=(lam,), L=_FORM_L, trials=2)
+        args, ranks = [], []
+        real_norm, real_lowrank = expmod.spectral_norm, expmod.lowrank_update_norm
+
+        def counted_norm(A, tol):
+            args.append(A)
+            return real_norm(A, tol=tol)
+
+        def counted_lowrank(form, rows, block):
+            ranks.append(rows.size)
+            return real_lowrank(form, rows, block)
+
+        monkeypatch.setattr(expmod, "spectral_norm", counted_norm)
+        monkeypatch.setattr(expmod, "lowrank_update_norm", counted_lowrank)
+        assert run_sweep(cfg).ok
+        assert len(args) == norms * cfg.trials and len(ranks) == lowranks * cfg.trials
+        assert all(isinstance(A, CovMatrix) for A in args)
 
     def test_rows_of_a_form_cell_round_trip(self, tmp_path):
         records = run_sweep(_cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L)).records

@@ -20,6 +20,7 @@ from covlab import (
     eval_kernel,
     fisher_yates_permutation,
     lift_matrix_norm_check,
+    shuffle_cov,
     taper_weight,
     taper_weight_matrix,
     taper_weight_sumform,
@@ -206,6 +207,13 @@ class TestDiscretize:
         with pytest.raises(UsageError):
             CovMatrix(entries=bad, grid_h=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_cov_matrix_rejects_non_finite_entries(self, bad):
+        entries = np.eye(3)
+        entries[1, 2] = entries[2, 1] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            CovMatrix(entries=entries, grid_h=0.5)
+
 
 _LENGTHSCALES = st.floats(0.01, 2.0)
 _STATIONARY = st.one_of(
@@ -265,3 +273,9 @@ class TestFisherYates:
 
     def test_singleton(self):
         np.testing.assert_array_equal(fisher_yates_permutation(1, 9), [0])
+
+    def test_shuffle_gathers_both_axes_like_a_fancy_index(self):
+        C = discretize(SquaredExponential(0.1), build_grid(1, 60))
+        shuffled, perm = shuffle_cov(C, 11)
+        assert np.array_equal(shuffled.entries, C.entries[np.ix_(perm, perm)])
+        assert shuffled.grid_h == C.grid_h
