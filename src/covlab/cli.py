@@ -8,7 +8,9 @@ prints its fully resolved configuration before doing any work.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import math
 import os
 import sys
@@ -16,6 +18,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import CovlabError, NumericError, UsageError
 from .diagnostics import (
@@ -223,7 +226,9 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
 
 
 def _parse_threads(raw: str) -> int:
-    if raw == "auto":
+    if raw == "auto":  # the CPUs this process may run on
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(raw)
@@ -232,6 +237,24 @@ def _parse_threads(raw: str) -> int:
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     return threads
+
+
+def _blas_threads() -> tuple:
+    """'library:threads' of each OpenBLAS bundled with numpy and scipy, read
+    through the library's own getter ('unknown' without one); sets nothing."""
+    found = []
+    for pkg in (np, scipy):
+        for lib in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*")):
+            name = os.path.basename(lib)
+            suffix = "64_" if "openblas64_" in name else ""
+            try:
+                get = getattr(ctypes.CDLL(lib), f"scipy_openblas_get_num_threads{suffix}")
+            except (OSError, AttributeError):
+                found.append(f"{name}:unknown")
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            found.append(f"{name}:{get()}")
+    return tuple(found) or ("unknown",)
 
 
 def cmd_sweep(args) -> int:
@@ -243,6 +266,7 @@ def cmd_sweep(args) -> int:
         ("sweep.out", str(args.out)),
         ("sweep.threads", threads),
         ("sweep.plot", bool(args.plot)),
+        ("sweep.blas", _blas_threads()),
     ]
     _print_resolved(resolved)
     out = Path(args.out)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -78,6 +80,13 @@ _KERNELS = {
 }
 KERNEL_NAMES = tuple(_KERNELS)
 NU_SOURCES = ("default", "se", "exp", "numeric")
+
+# Concurrent trials take turns at their BLAS stages (draw, Gram, each norm):
+# one such call already runs on every CPU, so two at once only contend.  The
+# elementwise work between them runs outside the lock, and every call keeps
+# its thread count and arithmetic, so records do not depend on the schedule.
+# Taken at the call sites, never nested.
+_BLAS_TURN = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -308,19 +317,22 @@ def simulate_trial(
     score.  The permuted kernel shuffles path coordinates of the base draw,
     which has the law of factoring the shuffled matrix directly.
     """
-    base = draw_paths(prep.factor, prep.N, draw_seed)
+    with _BLAS_TURN:
+        base = draw_paths(prep.factor, prep.N, draw_seed)
     if prep.kernel == "permuted":
         truth, perm = shuffle_cov(prep.C, shuffle_seed)
         S = SampleSet(paths=base.paths[:, perm], grid_h=prep.grid.h)
     else:
         truth, S, perm = prep.C, base, None
 
-    Chat = sample_cov(S)
+    with _BLAS_TURN:
+        Chat = sample_cov(S)
     matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
 
     def error(est: CovMatrix) -> float:  # |est - truth|; a difference of CovMatrix needs no check
         diff = CovMatrix._derived(est.entries - truth.entries, truth.grid_h)
-        return spectral_norm(diff, tol=prep.tol)
+        with _BLAS_TURN:
+            return spectral_norm(diff, tol=prep.tol)
 
     err = {"sample": error(Chat) / prep.norm}
     rho_hat = None
@@ -359,7 +371,8 @@ def _threshold_error_norm(prep: Prep, est: CovMatrix, perm, error) -> float:
         rows = np.flatnonzero(est.entries.any(axis=1))
         if rows.size <= LOWRANK_MAX_RANK:
             block = est.entries[np.ix_(rows, rows)]
-            return lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
+            with _BLAS_TURN:
+                return lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
     return error(est)
 
 
@@ -397,8 +410,9 @@ def run_sweep(
 
     Records and progress lines come in canonical (kernel, lengthscale, trial)
     order for any thread count; a trial's progress line follows as soon as it
-    and every earlier trial are done.  A failed trial is reported in the
-    failures trailer and does not stop the rest.
+    and every earlier trial are done, and ends with the count done so far and
+    an ETA from the mean time per trial since the preps were built.  A failed
+    trial is reported in the failures trailer and does not stop the rest.
     """
     if threads < 1:
         raise UsageError(f"threads must be >= 1, got {threads}")
@@ -423,14 +437,16 @@ def run_sweep(
 
     records = []
     failures = []
+    start = time.perf_counter()
     # One thread runs the trials on the calling thread: a pool worker would
     # hold BLAS and malloc buffers of its own.
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
     with pool:
         outcomes = pool.map(_one, tasks) if threads > 1 else map(_one, tasks)
-        for task, out in zip(tasks, outcomes):
+        for done, (task, out) in enumerate(zip(tasks, outcomes), start=1):
             if progress is not None:
-                progress(_progress_line(task, out))
+                eta = (time.perf_counter() - start) / done * (len(tasks) - done)
+                progress(_progress_line(task, out, done, len(tasks), eta))
             if isinstance(out, TrialRecord):
                 records.append(out)
             else:
@@ -444,10 +460,11 @@ def run_sweep(
     )
 
 
-def _progress_line(task, outcome) -> str:
+def _progress_line(task, outcome, done: int, total: int, eta: float) -> str:
     ki, li, trial, template, lam = task
     tag = "ok" if isinstance(outcome, TrialRecord) else "FAIL"
-    return f"trial kernel={template.name} lambda={lam!r} trial={trial} {tag}"
+    return (f"trial kernel={template.name} lambda={lam!r} trial={trial} {tag} "
+            f"{done}/{total} eta={eta:.1f}s")
 
 
 def summarize(records: Sequence[TrialRecord]) -> list:

@@ -297,6 +297,35 @@ class TestSweepCommand:
         ])
         assert code == 0
 
+    def test_threads_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(covlab.cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(covlab.cli.os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        assert covlab.cli._parse_threads("auto") == 2
+        monkeypatch.delattr(covlab.cli.os, "sched_getaffinity")
+        assert covlab.cli._parse_threads("auto") == 8
+
+    def test_header_names_each_blas_library_and_its_threads(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("COVLAB_SEED", raising=False)
+        before = covlab.cli._blas_threads()
+        cfg = _write_config(tmp_path)
+        code, out, _ = _run(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        line, = (l for l in out.splitlines() if l.startswith("sweep.blas="))
+        entries = line[len("sweep.blas="):].split(",")
+        assert entries == list(before) == list(covlab.cli._blas_threads())
+        assert all(re.fullmatch(r"\S+:(\d+|unknown)", e) or e == "unknown" for e in entries)
+        # Reading the counts changes no trial byte.
+        direct = ExperimentConfig(kernels=(KernelTemplate("se"),), lambda_grid=(0.2, 0.5),
+                                  trials=2, L=32)
+        covlab.experiments.emit_csv(list(covlab.experiments.run_sweep(direct).records),
+                                    tmp_path / "direct.csv", kind="trials")
+        assert (tmp_path / "o" / "trials.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    def test_blas_library_without_the_getter_reads_unknown(self, monkeypatch):
+        monkeypatch.setattr(covlab.cli.ctypes, "CDLL", lambda path: object())
+        entries = covlab.cli._blas_threads()
+        assert entries == ("unknown",) or all(e.endswith(":unknown") for e in entries)
+
     def test_bad_threads_value(self, capsys, tmp_path):
         cfg = _write_config(tmp_path)
         code, _, err = _run(capsys, [

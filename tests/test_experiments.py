@@ -1,8 +1,11 @@
 """Sweep harness: seeding, trial runs, aggregation, and CSV round trips."""
 
+import contextlib
 import dataclasses
 import math
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -231,6 +234,24 @@ class TestRunSweep:
         assert seen == [True]
         assert [line.split()[3] for line in lines] == [f"trial={t}" for t in range(4)]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_counts_and_eta(self, threads):
+        cfg = _cfg(kernels=(KernelTemplate("se"), KernelTemplate("matern")),
+                   lambda_grid=(0.05, 0.2), trials=2)
+        lines = []
+        run_sweep(cfg, threads=threads, progress=lines.append)
+        n = 2 * 2 * 2
+        grid = [(k.name, lam, t) for k in cfg.kernels for lam in cfg.lambda_grid for t in range(2)]
+        assert len(lines) == n
+        for k, (line, (name, lam, t)) in enumerate(zip(lines, grid), start=1):
+            tokens = line.split()
+            # benchmarks/tracing.py reads tokens 1-3 of the first four.
+            assert tokens[:5] == ["trial", f"kernel={name}", f"lambda={lam!r}", f"trial={t}", "ok"]
+            count, eta = tokens[5:]
+            assert count == f"{k}/{n}"
+            assert eta.startswith("eta=") and eta.endswith("s")
+            assert float(eta[len("eta="):-1]) >= 0.0
+
     def test_failures_are_collected_not_fatal(self, monkeypatch):
         cfg = _cfg(trials=3)
         real = expmod.adaptive_threshold
@@ -350,6 +371,90 @@ class TestTridiagonalFormCells:
         cfg = _cfg(lambda_grid=(_FORM_LAM, _PLAIN_LAM), L=_FORM_L, trials=1)
         assert run_sweep(cfg).lowrank_cells == 1
         assert run_sweep(_cfg()).lowrank_cells == 0
+
+
+class _ActiveCounter:
+    """Wraps functions with a count of calls in progress across threads."""
+
+    def __init__(self):
+        self.active = self.most = 0
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def wrap(self, name, fn):
+        def wrapped(*args, **kwargs):
+            with self._lock:
+                self.active += 1
+                self.most = max(self.most, self.active)
+                self.calls[name] += 1
+            try:
+                time.sleep(0.002)  # hands the GIL over: an unguarded stage would overlap here
+                return fn(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self.active -= 1
+        return wrapped
+
+
+_BLAS_STAGES = ("draw_paths", "sample_cov", "spectral_norm", "lowrank_update_norm")
+
+
+class TestBlasTurns:
+    @pytest.mark.parametrize("L, lams, stages", [
+        (64, (0.01, 0.05, 0.2), _BLAS_STAGES[:3]),
+        (_FORM_L, (_FORM_LAM, _PLAIN_LAM), _BLAS_STAGES),
+    ], ids=["L64", "form"])
+    def test_blas_stages_never_overlap(self, monkeypatch, tmp_path, L, lams, stages):
+        cfg = _cfg(kernels=(KernelTemplate("se"), KernelTemplate("permuted")),
+                   lambda_grid=lams, L=L, trials=3)
+        emit_csv(list(run_sweep(cfg, threads=1).records), tmp_path / "serial.csv", kind="trials")
+        counter = _ActiveCounter()
+        for name in _BLAS_STAGES:
+            monkeypatch.setattr(expmod, name, counter.wrap(name, getattr(expmod, name)))
+        result = run_sweep(cfg, threads=3)
+        emit_csv(list(result.records), tmp_path / "threaded.csv", kind="trials")
+        assert result.ok
+        assert counter.most == 1
+        assert set(counter.calls) == set(stages)
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_a_failing_trial_gives_up_the_lock(self, monkeypatch):
+        cfg = _cfg(kernels=(KernelTemplate("se"), KernelTemplate("matern")),
+                   lambda_grid=(0.05, 0.2), L=64, trials=3)
+        serial = run_sweep(cfg)
+        real_trial, real_norm = expmod.run_trial, expmod.spectral_norm
+        cell = threading.local()
+
+        def tagged(template, lam, cfg_, trial, prep=None):
+            cell.key = (template.name, lam)
+            return real_trial(template, lam, cfg_, trial, prep=prep)
+
+        def failing(A, tol):
+            if cell.key == ("matern", 0.05):
+                raise ValueError("synthetic norm failure")
+            return real_norm(A, tol=tol)
+
+        monkeypatch.setattr(expmod, "run_trial", tagged)
+        monkeypatch.setattr(expmod, "spectral_norm", failing)
+        # A lock held past the failure would stall the other workers forever;
+        # the join's timeout turns that into a failed assertion.
+        out = []
+        worker = threading.Thread(target=lambda: out.append(run_sweep(cfg, threads=3)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        stalled = worker.is_alive()
+        while worker.is_alive():  # free the stalled pool, whose threads would block exit
+            with contextlib.suppress(RuntimeError):
+                expmod._BLAS_TURN.release()
+            worker.join(timeout=0.1)
+        assert not stalled and len(out) == 1
+        result = out[0]
+        assert len(result.failures) == cfg.trials
+        assert all("kernel=matern lambda=0.05" in f and "synthetic norm failure" in f
+                   for f in result.failures)
+        assert result.records == tuple(r for r in serial.records
+                                       if (r.kernel, r.lam) != ("matern", 0.05))
 
 
 class TestSummarize:
