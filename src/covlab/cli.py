@@ -127,23 +127,33 @@ def parse_config_file(path) -> dict:
 
 
 def _resolve_seed(flag_value: int) -> int:
-    """COVLAB_SEED if it is set, else the flag's (or config's) seed."""
+    """COVLAB_SEED if it is set, else the flag's (or config's) seed; >= 0."""
     raw = os.environ.get("COVLAB_SEED")
-    if raw is None:
-        return flag_value
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise UsageError(f"COVLAB_SEED must be an integer, got {raw!r}") from None
+    seed = flag_value
+    if raw is not None:
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"COVLAB_SEED must be an integer, got {raw!r}") from None
     if seed < 0:
-        raise UsageError(f"COVLAB_SEED must be >= 0, got {seed}")
+        raise UsageError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def _print_resolved(pairs) -> None:
+    resolved = dict(pairs)
     print("# resolved config")
-    for key in sorted(dict(pairs)):
-        print(f"{key}={format_value(dict(pairs)[key])}")
+    for key in sorted(resolved):
+        print(f"{key}={format_value(resolved[key])}")
+
+
+def _print_flags(args, seed: int) -> None:
+    """The header of a command set by its flags alone: each parsed flag as
+    <command>.<name>, with --lambda as lambda and the resolved seed."""
+    flags = dict(vars(args), seed=seed)
+    flags["lambda"] = flags.pop("lam")
+    del flags["command"], flags["func"]
+    _print_resolved((f"{args.command}.{key}", value) for key, value in flags.items())
 
 
 # ----------------------------------------------------------- diagnose ----
@@ -151,17 +161,7 @@ def _print_resolved(pairs) -> None:
 
 def cmd_diagnose(args) -> int:
     seed = _resolve_seed(args.seed)
-    _print_resolved([
-        ("diagnose.kernel", args.kernel),
-        ("diagnose.lambda", args.lam),
-        ("diagnose.L", args.L),
-        ("diagnose.d", args.d),
-        ("diagnose.q", args.q),
-        ("diagnose.mc_samples", args.mc_samples),
-        ("diagnose.nu", args.nu),
-        ("diagnose.N", args.N),
-        ("diagnose.seed", seed),
-    ])
+    _print_flags(args, seed)
     grid = build_grid(args.d, args.L)
     if args.kernel == "pwc":
         spec = PiecewiseConstant(values=np.eye(_PWC_CELLS))
@@ -397,16 +397,7 @@ def cmd_estimate(args) -> int:
     if args.N < 1:
         raise UsageError(f"--N must be >= 1, got {args.N}")
     seed = _resolve_seed(args.seed)
-    _print_resolved([
-        ("estimate.kernel", args.kernel),
-        ("estimate.lambda", args.lam),
-        ("estimate.L", args.L),
-        ("estimate.d", args.d),
-        ("estimate.N", args.N),
-        ("estimate.estimator", args.estimator),
-        ("estimate.seed", seed),
-        ("estimate.dump_matrices", args.dump_matrices),
-    ])
+    _print_flags(args, seed)
     prep = build_prep(KernelTemplate(name=args.kernel), args.lam, args.L, args.d, args.N, tol=1e-9)
     shuffle_seed = int(np.random.SeedSequence((seed, 1)).generate_state(1, np.uint64)[0])
     estimators = ("taper", "threshold") if args.estimator == "all" else (args.estimator,)

@@ -55,42 +55,35 @@ _LANCZOS_SEED = 0x5EED_0C0B
 # -------------------------------------------------------- spectral norm ----
 
 
-def _asymmetry(A: np.ndarray, rows: int = 64) -> float:
-    """max |A - A^T|, one block of rows at a time.
+def _symmetric(A, name: str) -> np.ndarray:
+    """A as an exactly symmetric float64 array.
 
-    A - A^T is exactly antisymmetric in floating point, so its largest entry
-    is its largest magnitude.
+    A must be square and finite, and symmetric to within 1e-12 of its
+    largest |entry|; any smaller asymmetry is folded in.  A CovMatrix was
+    checked exactly when it was made, so its entries are not read again.
     """
-    return max(
-        float(np.subtract(A[i:i + rows], A[:, i:i + rows].T).max())
-        for i in range(0, A.shape[0], rows)
-    )
-
-
-def _checked(A, tol: float) -> tuple:
-    """(A as float64, its asymmetry) after the spectral-norm input checks;
-    None for an empty matrix or all-zero array.  A CovMatrix is not scanned."""
-    if not (1e-14 < tol < 1e-2):
-        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
     if isinstance(A, CovMatrix):
-        return np.asarray(A.entries, dtype=np.float64), 0.0 if A.n else None
+        return np.asarray(A.entries, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise UsageError(f"spectral_norm needs a square matrix, got {A.shape}")
+        raise UsageError(f"{name} must be square, got shape {A.shape}")
     if not A.size:
-        return A, None
-    hi, lo = float(A.max()), float(A.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+        return A
+    scale = max(float(A.max()), -float(A.min()))
+    if not math.isfinite(scale):
         raise UsageError("matrix has a non-finite entry (nan or inf)")
-    scale = max(hi, -lo)
-    if scale == 0.0:
-        return A, None
-    asym = _asymmetry(A)
+    # max |A - A^T|, 64 rows at a time: A - A^T is exactly antisymmetric in
+    # floating point, so its largest entry is its largest magnitude.
+    asym = max(
+        float(np.subtract(A[i:i + 64], A[:, i:i + 64].T).max())
+        for i in range(0, A.shape[0], 64)
+    )
     if asym > 1e-12 * scale:
-        raise UsageError(
-            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
-        )
-    return A, asym
+        raise UsageError(f"{name} is not symmetric: relative asymmetry {asym / scale:.3e}")
+    if asym != 0.0:
+        A = np.add(A, A.T)
+        A /= 2.0
+    return A
 
 
 def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
@@ -113,26 +106,24 @@ def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
     return float(abs(top[0]))
 
 
-def _norm_and_form(A, tol: float, method: str, keep_form: bool) -> tuple:
+def _norm_and_form(M, tol: float, method: str, keep_form: bool) -> tuple:
     """(spectral norm, tridiagonal form or None); the form is built, as the
     dense solve, only with keep_form and only when ARPACK gives up."""
     if method not in ("auto", "arpack", "dense"):
         raise UsageError(f"unknown method {method!r}")
-    A, asym = _checked(A, tol)
-    if asym is None:
-        return 0.0, None
+    if not (1e-14 < tol < 1e-2):
+        raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
+    A = _symmetric(M, "matrix")
     n = A.shape[0]
+    if n == 0:
+        return 0.0, None
     if n == 1 or method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
         return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
-    # The iteration assumes exact symmetry; fold in any last-bit asymmetry.
-    if asym != 0.0:
-        A = np.add(A, A.T)
-        A /= 2.0
     top = _arpack_top(A, tol)
     if top is not None:
         return top, None
-    if keep_form:
-        form = tridiagonal_form(A)
+    if keep_form:  # M: a CovMatrix passes the gate unread
+        form = tridiagonal_form(M)
         return form.norm, form
     return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
 
@@ -154,8 +145,10 @@ def spectral_norm(
     missing a top eigenvector orthogonal to ones.  It solves densely only if
     ARPACK does not converge within max(10, n/160) restarts, so the
     tolerance contract always holds.  ``method`` 'auto' solves densely up
-    to n=256 and iterates above; 'arpack' and 'dense' force one path.  A nan
-    or inf entry of an array is refused; a CovMatrix is not scanned again.
+    to n=256 and iterates above; 'arpack' and 'dense' force one path.  An
+    array must be square, finite and symmetric to within 1e-12 of its largest
+    entry, and its last-bit asymmetry is folded in; a CovMatrix is not
+    checked again.
     """
     return _norm_and_form(A, tol, method, keep_form=False)[0]
 
@@ -231,17 +224,18 @@ def _wy_panels(c: np.ndarray, tau: np.ndarray) -> tuple:
     return tuple(panels)
 
 
-def tridiagonal_form(A: np.ndarray) -> TridiagonalForm:
-    """Householder tridiagonal form of an exactly symmetric matrix.
+def tridiagonal_form(A: np.ndarray | CovMatrix) -> TridiagonalForm:
+    """Householder tridiagonal form of a non-empty symmetric matrix, after
+    the input checks of ``spectral_norm`` (last-bit asymmetry folded in).
 
     One blocked ``dsytrd`` (the reduction inside a dense eigenvalue solve)
     and one ``dsterf`` for the spectrum; the (n, n) output of dsytrd is
     dropped once its reflectors are in panels.  A^T is passed because it is
     Fortran-ordered and equal to A, so no transposing copy is made.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise UsageError(f"tridiagonal_form needs a non-empty square matrix, got {A.shape}")
+    A = _symmetric(A, "matrix")
+    if not A.size:
+        raise UsageError("tridiagonal_form needs a non-empty matrix")
     n = A.shape[0]
     lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(A.T, lower=1, lwork=max(lwork, 1))
@@ -280,11 +274,7 @@ def lowrank_update_norm(form: TridiagonalForm, rows: np.ndarray, block: np.ndarr
         return form.norm
     if rows.min() < 0 or rows.max() >= n or np.unique(rows).size != r:
         raise UsageError(f"rows must be distinct indices below {n}")
-    block_scale = max(float(block.max()), -float(block.min()))
-    if not math.isfinite(block_scale):
-        raise UsageError("matrix has a non-finite entry (nan or inf)")
-    if _asymmetry(block) > 1e-12 * block_scale:
-        raise UsageError("block is not symmetric")
+    block = _symmetric(block, "block")
     omega, W = np.linalg.eigh(block)
     keep = omega != 0.0
     omega, W = omega[keep], W[:, keep]
@@ -414,9 +404,7 @@ def operator_quantities(
     )
 
 
-def gamma1(
-    C: CovMatrix, q: float, *, tol: float = 1e-9, op_norm: Optional[float] = None
-) -> float:
+def gamma1(C: CovMatrix, q: float, *, op_norm: Optional[float] = None) -> float:
     """Row L^q-sparsity functional |k|_q^q |k|_inf^(1-q) / |C|.
 
     |k|_q^q is the largest grid-weighted row sum of |entries|^q (a Riemann
@@ -429,7 +417,7 @@ def gamma1(
     abs_e = np.abs(C.entries)
     k_inf = float(np.max(abs_e))
     if op_norm is None:
-        op_norm = C.grid_h * spectral_norm(C.entries, tol)
+        op_norm = C.grid_h * spectral_norm(C.entries)
     if op_norm == 0.0:
         raise UsageError("zero operator has no sparsity functional")
     row_q = float(np.max(np.sum(abs_e**q, axis=1))) * C.grid_h
@@ -492,7 +480,6 @@ class NuSequence:
     guaranteed when nu_1 = 1.
     """
 
-    source: str
     _fn: Optional[Callable[[int], float]] = None
     _table: Optional[tuple] = None
     _memo: dict = field(default_factory=dict)
@@ -500,16 +487,11 @@ class NuSequence:
     @staticmethod
     def se_d1() -> "NuSequence":
         denom = scipy.special.erfc(1.0 / math.sqrt(2.0))
-        return NuSequence(
-            source="closed_form_se_d1",
-            _fn=lambda m: float(scipy.special.erfc(m / math.sqrt(2.0)) / denom),
-        )
+        return NuSequence(_fn=lambda m: float(scipy.special.erfc(m / math.sqrt(2.0)) / denom))
 
     @staticmethod
     def exponential() -> "NuSequence":
-        return NuSequence(
-            source="closed_form_exponential", _fn=lambda m: math.exp(-(m - 1.0))
-        )
+        return NuSequence(_fn=lambda m: math.exp(-(m - 1.0)))
 
     @staticmethod
     def numeric(spec: KernelSpec, d: int) -> "NuSequence":
@@ -525,10 +507,7 @@ class NuSequence:
         denom = _tail_integral(unit, d, 1.0)
         if denom <= 0.0:
             raise NumericError("tail integral at m=1 vanished; cannot normalize")
-        return NuSequence(
-            source="numeric",
-            _fn=lambda m: _tail_integral(unit, d, float(m)) / denom,
-        )
+        return NuSequence(_fn=lambda m: _tail_integral(unit, d, float(m)) / denom)
 
     @staticmethod
     def table(values) -> "NuSequence":
@@ -541,7 +520,7 @@ class NuSequence:
             raise UsageError("tail values must be non-increasing")
         if vals[0] > 1.0:
             raise UsageError(f"tail table must start at <= 1, got {vals[0]}")
-        return NuSequence(source="explicit", _table=vals)
+        return NuSequence(_table=vals)
 
     def nu(self, m: int) -> float:
         if m < 1:
@@ -589,13 +568,7 @@ def _kl_directions(S1: np.ndarray, S2: np.ndarray) -> tuple:
     S1, S2 = (np.asarray(S, dtype=np.float64) for S in (S1, S2))
     if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
         raise UsageError(f"need square matrices of equal size, got {S1.shape} vs {S2.shape}")
-    for name, S in (("S1", S1), ("S2", S2)):
-        scale = float(np.max(np.abs(S)))
-        if not math.isfinite(scale):
-            raise UsageError("matrix has a non-finite entry (nan or inf)")
-        if scale > 0 and float(np.max(np.abs(S - S.T))) > 1e-12 * scale:
-            raise UsageError(f"{name} is not symmetric")
-    S1, S2 = (S1 + S1.T) / 2.0, (S2 + S2.T) / 2.0
+    S1, S2 = _symmetric(S1, "S1"), _symmetric(S2, "S2")
     radius = np.abs(S2 - np.diag(np.diag(S2))).sum(axis=1)
     lo, hi = float(np.min(np.diag(S2) - radius)), float(np.max(np.diag(S2) + radius))
     if not (lo > 0.0 and lo > 1e-12 * hi):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, resolved-config echo, file outputs."""
 
+import argparse
 import csv
 import gc
 import re
@@ -21,7 +22,7 @@ from covlab import (
     load_trials,
     run_trial,
 )
-from covlab.cli import main, parse_config_file
+from covlab.cli import build_parser, main, parse_config_file
 from covlab.experiments import TRIAL_HEADER
 
 
@@ -502,3 +503,56 @@ class TestParser:
             gc.garbage.clear()
             gc.enable()
         assert leftovers == []
+
+
+# commands that draw with their seed, each at a size that runs in well under a second
+_SEEDED_COMMANDS = {
+    "diagnose-permuted": ["diagnose", "--kernel", "permuted", "--lambda", "0.1", "--L", "16"],
+    "estimate": ["estimate", "--kernel", "se", "--lambda", "0.2", "--L", "16", "--N", "4",
+                 "--estimator", "all"],
+    "minimax-f2": ["minimax-check", "--class", "f2", "--r", "16", "--N", "50", "--samples", "1"],
+    "minimax-sparse": ["minimax-check", "--class", "sparse", "--samples", "1"],
+}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", list(_SEEDED_COMMANDS))
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, command, source):
+        argv = list(_SEEDED_COMMANDS[command])
+        if source == "flag":
+            monkeypatch.delenv("COVLAB_SEED", raising=False)
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("COVLAB_SEED", "-1")
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert (out, err) == ("", "covlab: error: seed must be >= 0, got -1\n")
+
+
+class TestHeader:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "16"],
+        ["estimate", "--kernel", "se", "--lambda", "0.2", "--L", "16", "--N", "4",
+         "--estimator", "sample"],
+        ["minimax-check", "--class", "f1", "--r", "16", "--N", "50"],
+        ["minimax-check", "--class", "sparse", "--samples", "1"],
+        ["sweep"],
+    ], ids=["diagnose", "estimate", "minimax-f1", "minimax-sparse", "sweep"])
+    def test_every_flag_appears_in_the_header(self, capsys, tmp_path, argv):
+        if argv == ["sweep"]:
+            argv = argv + ["--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        subcommands, = (a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subcommands.choices[argv[0]]._actions} - {"help"}
+        names = {"lam": "lambda", "family": "class"}
+        wanted = {names.get(dest, dest) for dest in dests}
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        prefix = argv[0].split("-")[0] + "."
+        header = {line.split("=", 1)[0][len(prefix):]
+                  for line in out.splitlines() if line.startswith(prefix)}
+        if "sparse" in argv:  # tau applies to the banded families only
+            wanted.discard("tau")
+            assert "tau" not in header
+        assert wanted <= header

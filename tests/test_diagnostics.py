@@ -1,7 +1,9 @@
 """Spectral norms, operator summaries, sparsity functionals, and tail rules."""
 
+import functools
 import gc
 import math
+import re
 import warnings
 
 import numpy as np
@@ -403,13 +405,16 @@ class TestLowrankUpdateNorm:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("rows,block", [
-        ([0, 4], np.eye(3)), ([0, 0], np.eye(2)), ([0, 30], np.eye(2)),
-        ([0, 4], np.array([[1.0, 2.0], [0.0, 1.0]])),
+    @pytest.mark.parametrize("rows,block,message", [
+        ([0, 4], np.eye(3), r"block of shape \(3, 3\) does not match 2 rows"),
+        ([0, 0], np.eye(2), "rows must be distinct indices below 30"),
+        ([0, 30], np.eye(2), "rows must be distinct indices below 30"),
+        ([0, 4], np.array([[1.0, 2.0], [0.0, 1.0]]),
+         r"block is not symmetric: relative asymmetry 1\.000e\+00"),
     ], ids=["shape", "repeated", "out-of-range", "asymmetric"])
-    def test_refuses_malformed_input(self, rows, block):
+    def test_refuses_malformed_input(self, rows, block, message):
         form = tridiagonal_form(random_psd(np.random.default_rng(8), 30))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=message):
             lowrank_update_norm(form, np.array(rows), block)
 
 
@@ -436,6 +441,56 @@ def test_lowrank_update_norm_matches_dense(n, cluster, gap, top, r, kind, seed):
         B = abs(top) * (u @ u.T) / r
     got = lowrank_update_norm(tridiagonal_form(A), rows, B)
     assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+
+@functools.cache
+def _gate_form():
+    return tridiagonal_form(random_psd(np.random.default_rng(9), 120))
+
+
+# entry point -> (n, call on the matrix under test, the matrix's name in the
+# refusals, the refusal of a non-square matrix)
+_GATED = {
+    "spectral_norm-50": (50, spectral_norm, "matrix", "matrix must be square"),
+    "spectral_norm-400": (400, spectral_norm, "matrix", "matrix must be square"),
+    "tridiagonal_form": (50, lambda A: tridiagonal_form(A).spectrum, "matrix",
+                         "matrix must be square"),
+    "lowrank_update_norm": (50, lambda B: lowrank_update_norm(
+        _gate_form(), np.arange(0, 100, 2), B), "block", "block of shape"),
+    "kl_gaussian": (50, lambda S: kl_gaussian(S, np.eye(50)), "S1",
+                    "need square matrices of equal size"),
+    "kl_gaussian_both": (50, lambda S: kl_gaussian_both(2.0 * np.eye(50), S), "S2",
+                         "need square matrices of equal size"),
+}
+
+
+@pytest.mark.parametrize("fault", ["asymmetric", "nan", "inf", "-inf", "non-square"])
+@pytest.mark.parametrize("entry", list(_GATED))
+def test_matrix_gate_refuses_bad_input(entry, fault):
+    n, call, name, non_square = _GATED[entry]
+    A = random_psd(np.random.default_rng(n), n, jitter=0.3)
+    message = re.escape("matrix has a non-finite entry (nan or inf)")
+    if fault == "asymmetric":
+        A[1, 2] += 1e-9 * np.max(np.abs(A))
+        message = rf"^{name} is not symmetric: relative asymmetry 1\.000e-09$"
+    elif fault == "non-square":
+        A, message = A[:, 1:], re.escape(non_square)
+    else:
+        A[1, 2] = A[2, 1] = float(fault)
+    with pytest.raises(UsageError, match=message):
+        call(A)
+
+
+@pytest.mark.parametrize("entry", list(_GATED))
+def test_matrix_gate_folds_last_bit_asymmetry(entry):
+    n, call, _, _ = _GATED[entry]
+    A = random_psd(np.random.default_rng(n), n, jitter=0.3)
+    upper = np.triu_indices(n, 1)
+    A[upper] = np.nextafter(A[upper], np.inf)
+    folded = (A + A.T) / 2.0
+    assert np.array_equal(call(A), call(folded))
+    if entry == "tridiagonal_form":
+        assert np.max(np.abs(call(A) - np.linalg.eigvalsh(folded))) <= 1e-13 * n
 
 
 class TestOperatorQuantities:
