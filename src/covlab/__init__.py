@@ -28,7 +28,6 @@ from .grid_kernel import (
 )
 from .sampling import CholFactor, SampleSet, cholesky_psd, draw_paths, sample_cov
 from .diagnostics import (
-    DiagnosticReport,
     NuSequence,
     OperatorQuantities,
     TridiagonalForm,

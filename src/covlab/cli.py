@@ -21,15 +21,7 @@ import numpy as np
 import scipy
 
 from .errors import CovlabError, NumericError, UsageError
-from .diagnostics import (
-    DiagnosticReport,
-    NuSequence,
-    eps_star,
-    gamma1,
-    gamma2,
-    m_star,
-    operator_quantities,
-)
+from .diagnostics import NuSequence, eps_star, gamma1, gamma2, m_star, operator_quantities
 from .experiments import (
     KERNEL_NAMES,
     NU_SOURCES,
@@ -140,11 +132,16 @@ def _resolve_seed(flag_value: int) -> int:
     return seed
 
 
+def _print_pairs(pairs) -> None:
+    """One key=value line per (key, value) pair, in order, each value as
+    format_value writes it: the one way a command prints what it found."""
+    for key, value in pairs:
+        print(f"{key}={format_value(value)}")
+
+
 def _print_resolved(pairs) -> None:
-    resolved = dict(pairs)
     print("# resolved config")
-    for key in sorted(resolved):
-        print(f"{key}={format_value(resolved[key])}")
+    _print_pairs(sorted(dict(pairs).items()))
 
 
 def _print_flags(args, seed: int) -> None:
@@ -171,24 +168,17 @@ def cmd_diagnose(args) -> int:
             spec = Permuted(base=spec, seed=seed)
     C = discretize(spec, grid)
     quant = operator_quantities(C)
-    qs = {1.0}
-    if args.q is not None:
-        qs.add(args.q)
-    gammas = {q: gamma1(C, q, op_norm=quant.op_norm) for q in sorted(qs)}
-    g2 = g2_se = None
+    report = [("trace_op", quant.trace_op), ("op_norm", quant.op_norm), ("r_eff", quant.r_eff)]
+    for q in sorted({1.0} if args.q is None else {1.0, args.q}):
+        report.append((f"gamma1.q{q:g}", gamma1(C, q, op_norm=quant.op_norm)))
     if args.mc_samples > 0:
-        factor = cholesky_psd(C)
-        g2, g2_se = gamma2(factor, grid, args.mc_samples, seed)
-    ms = es = None
+        g2, g2_se = gamma2(cholesky_psd(C), args.mc_samples, seed)
+        report += [("gamma2", g2), ("gamma2_se", g2_se)]
     if args.N is not None:
         nu = nu_for(args.kernel, args.nu, args.d, KernelTemplate.smoothness)
-        ms = m_star(nu, args.N, args.d)
-        es = eps_star(nu, args.N, args.d)
-    report = DiagnosticReport(
-        trace_op=quant.trace_op, op_norm=quant.op_norm, r_eff=quant.r_eff,
-        gamma1=gammas, gamma2=g2, gamma2_se=g2_se, m_star=ms, eps_star=es,
-    )
-    print(report.format())
+        report += [("m_star", m_star(nu, args.N, args.d)),
+                   ("eps_star", eps_star(nu, args.N, args.d))]
+    _print_pairs(report)
     return 0
 
 
@@ -311,17 +301,23 @@ def _minimax_nu() -> NuSequence:
     return NuSequence.table([m**-0.5 for m in range(1, 1025)])
 
 
+def _check_pairs(check, slack_key: str = "slack") -> list:
+    """A check's report pairs: name.pass, .measured, .bound and .<slack_key>."""
+    return [(f"{check.name}.pass", check.passed), (f"{check.name}.measured", check.measured),
+            (f"{check.name}.bound", check.bound), (f"{check.name}.{slack_key}", check.slack)]
+
+
 def _aggregate_reports(reports) -> tuple:
-    """Fold per-theta certificates into (all_passed, printable lines)."""
-    lines = [f"family={reports[0].family}", f"samples={len(reports)}"]
+    """Fold per-theta certificates into (all_passed, report pairs)."""
+    pairs = [("family", reports[0].family), ("samples", len(reports))]
     all_ok = True
     for checks in zip(*(rep.checks for rep in reports)):
         # The least slack, failures first: a NaN slack never passes, so the
         # worst check has passed exactly when every check has.
         worst = min(checks, key=lambda c: (c.passed, c.slack))
         all_ok = all_ok and worst.passed
-        lines.extend(worst.lines("worst_slack"))
-    return all_ok, lines
+        pairs += _check_pairs(worst, "worst_slack")
+    return all_ok, pairs
 
 
 def _pair_seed(seed: int, index: int) -> int:
@@ -351,11 +347,8 @@ def cmd_minimax_check(args) -> int:
         spec = BandedFamilySpec(kind="f1", r=r, N=N, tau=tau)
         members = build_f1_banded(spec)
         separation = spec.w * math.sqrt(tau * math.log(r) / N)
-        print("family=f1")
-        print(f"members={len(members)}")
-        print(f"separation={separation!r}")
-        print("psd.pass=true")
-        print("separation_exact.pass=true")
+        _print_pairs([("family", "f1"), ("members", len(members)), ("separation", separation),
+                      ("psd.pass", True), ("separation_exact.pass", True)])
         return 0
 
     if family in ("f2", "f3"):
@@ -373,9 +366,8 @@ def cmd_minimax_check(args) -> int:
         ]
         bits = spec.r_star
 
-    ok, lines = _aggregate_reports(reports)
-    for line in lines:
-        print(line)
+    ok, report = _aggregate_reports(reports)
+    _print_pairs(report)
 
     pairs = []
     for i, theta in enumerate(thetas):
@@ -385,8 +377,9 @@ def cmd_minimax_check(args) -> int:
         for pos in gen.integers(0, bits, size=2):
             pairs.append((theta, flip_bit(theta, int(pos))))
     assouad = assouad_terms(spec, pairs)
-    print(f"pairs={len(pairs)}")
-    print(assouad.format())
+    _print_pairs([("pairs", len(pairs)), ("alpha_min", assouad.alpha_min),
+                  ("worst_kl", assouad.worst_kl), ("worst_frob2", assouad.worst_frob2)]
+                 + [p for check in assouad.checks for p in _check_pairs(check)])
     return 0 if ok and assouad.all_passed else 1
 
 

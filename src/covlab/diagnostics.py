@@ -21,13 +21,7 @@ import scipy.special
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import NumericError, UsageError
-from .grid_kernel import (
-    CovMatrix,
-    Grid,
-    KernelSpec,
-    Matern,
-    SquaredExponential,
-)
+from .grid_kernel import CovMatrix, KernelSpec, Matern, SquaredExponential
 from .sampling import CholFactor, draw_paths
 
 __all__ = [
@@ -45,7 +39,6 @@ __all__ = [
     "eps_star",
     "kl_gaussian",
     "kl_gaussian_both",
-    "DiagnosticReport",
 ]
 
 _DENSE_CUTOFF = 256  # below this, a direct eigensolve beats iteration
@@ -106,26 +99,9 @@ def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
     return float(abs(top[0]))
 
 
-def _norm_and_form(M, tol: float, method: str, keep_form: bool) -> tuple:
-    """(spectral norm, tridiagonal form or None); the form is built, as the
-    dense solve, only with keep_form and only when ARPACK gives up."""
-    if method not in ("auto", "arpack", "dense"):
-        raise UsageError(f"unknown method {method!r}")
+def _check_tol(tol: float) -> None:
     if not (1e-14 < tol < 1e-2):
         raise UsageError(f"tolerance must lie in (1e-14, 1e-2), got {tol}")
-    A = _symmetric(M, "matrix")
-    n = A.shape[0]
-    if n == 0:
-        return 0.0, None
-    if n == 1 or method == "dense" or (method == "auto" and n <= _DENSE_CUTOFF):
-        return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
-    top = _arpack_top(A, tol)
-    if top is not None:
-        return top, None
-    if keep_form:  # M: a CovMatrix passes the gate unread
-        form = tridiagonal_form(M)
-        return form.norm, form
-    return float(np.max(np.abs(np.linalg.eigvalsh(A)))), None
 
 
 def spectral_norm(
@@ -150,7 +126,18 @@ def spectral_norm(
     entry, and its last-bit asymmetry is folded in; a CovMatrix is not
     checked again.
     """
-    return _norm_and_form(A, tol, method, keep_form=False)[0]
+    if method not in ("auto", "arpack", "dense"):
+        raise UsageError(f"unknown method {method!r}")
+    _check_tol(tol)
+    A = _symmetric(A, "matrix")
+    n = A.shape[0]
+    if n == 0:
+        return 0.0
+    if n > 1 and method != "dense" and (method == "arpack" or n > _DENSE_CUTOFF):
+        top = _arpack_top(A, tol)
+        if top is not None:
+            return top
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 # ------------------------------------------------- tridiagonal form ----
@@ -376,24 +363,25 @@ class OperatorQuantities:
     trace_op: float
     op_norm: float
     r_eff: float
-    # C's tridiagonal form, kept when asked for and ARPACK gave up on |C|.
+    # C's tridiagonal form, kept when ARPACK gave up on |C|.
     form: Optional["TridiagonalForm"] = field(default=None, compare=False, repr=False)
 
 
-def operator_quantities(
-    C: CovMatrix, *, tol: float = 1e-9, keep_form: bool = False
-) -> OperatorQuantities:
+def operator_quantities(C: CovMatrix, *, tol: float = 1e-9) -> OperatorQuantities:
     """Operator trace, operator norm, and effective dimension Tr/norm.
 
-    With keep_form, a norm that ARPACK cannot resolve comes from C's
-    tridiagonal form, which the result then holds, instead of from a dense
-    eigenvalue solve that discards it.
+    |C| is ``spectral_norm``'s, except that a norm ARPACK cannot resolve
+    comes from C's tridiagonal form, which the result then holds, instead of
+    from a dense eigenvalue solve that discards it.
     """
+    _check_tol(tol)
     trace_m = float(np.trace(C.entries))
-    if keep_form:
-        norm_m, form = _norm_and_form(C, tol, "auto", keep_form=True)
-    else:
-        norm_m, form = spectral_norm(C.entries, tol), None
+    A = _symmetric(C, "C")  # a CovMatrix passes unread
+    norm_m = _arpack_top(A, tol) if A.shape[0] > _DENSE_CUTOFF else spectral_norm(C, tol)
+    form = None
+    if norm_m is None:
+        form = tridiagonal_form(C)
+        norm_m = form.norm
     if norm_m == 0.0:
         raise UsageError("zero operator has no effective dimension")
     return OperatorQuantities(
@@ -424,9 +412,7 @@ def gamma1(C: CovMatrix, q: float, *, op_norm: Optional[float] = None) -> float:
     return row_q * k_inf ** (1.0 - q) / op_norm
 
 
-def gamma2(
-    factor: CholFactor, grid: Grid, M_mc: int, seed: int
-) -> tuple[float, float]:
+def gamma2(factor: CholFactor, M_mc: int, seed: int) -> tuple[float, float]:
     """Monte Carlo capacity estimate E[max_i u(x_i)] / sqrt(max_i k(x_i,x_i)).
 
     Returns the estimate and the standard error of the Monte Carlo mean
@@ -434,10 +420,6 @@ def gamma2(
     """
     if M_mc < 2:
         raise UsageError(f"capacity estimate needs M_mc >= 2 draws, got {M_mc}")
-    if factor.n != grid.n:
-        raise UsageError(
-            f"factor size {factor.n} does not match grid size {grid.n}"
-        )
     diag = np.sum(factor.lower * factor.lower, axis=1)  # diag of L L^T
     k_inf = float(np.max(diag))
     if k_inf <= 0.0:
@@ -568,6 +550,8 @@ def _kl_directions(S1: np.ndarray, S2: np.ndarray) -> tuple:
     S1, S2 = (np.asarray(S, dtype=np.float64) for S in (S1, S2))
     if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
         raise UsageError(f"need square matrices of equal size, got {S1.shape} vs {S2.shape}")
+    if not S1.size:
+        raise UsageError("KL divergence needs non-empty matrices")
     S1, S2 = _symmetric(S1, "S1"), _symmetric(S2, "S2")
     radius = np.abs(S2 - np.diag(np.diag(S2))).sum(axis=1)
     lo, hi = float(np.min(np.diag(S2) - radius)), float(np.max(np.diag(S2) + radius))
@@ -609,36 +593,3 @@ def kl_gaussian_both(S1: np.ndarray, S2: np.ndarray) -> tuple:
     if reverse is None:
         raise UsageError("S1 must be positive definite for the reverse KL formula")
     return forward, reverse
-
-
-# ---------------------------------------------------------- reporting ----
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    """Flat key=value diagnostic block; optional entries are omitted."""
-
-    trace_op: float
-    op_norm: float
-    r_eff: float
-    gamma1: dict
-    gamma2: Optional[float] = None
-    gamma2_se: Optional[float] = None
-    m_star: Optional[int] = None
-    eps_star: Optional[float] = None
-
-    def format(self) -> str:
-        lines = [
-            f"trace_op={self.trace_op!r}",
-            f"op_norm={self.op_norm!r}",
-            f"r_eff={self.r_eff!r}",
-        ]
-        for q in sorted(self.gamma1):
-            lines.append(f"gamma1.q{q:g}={self.gamma1[q]!r}")
-        if self.gamma2 is not None:
-            lines.append(f"gamma2={self.gamma2!r}")
-            lines.append(f"gamma2_se={self.gamma2_se!r}")
-        if self.m_star is not None:
-            lines.append(f"m_star={self.m_star}")
-            lines.append(f"eps_star={self.eps_star!r}")
-        return "\n".join(lines)

@@ -145,6 +145,13 @@ class ExperimentConfig:
             raise UsageError("config needs at least one kernel")
         if not self.lambda_grid:
             raise UsageError("config needs at least one lengthscale")
+        # Trials are seeded by grid position and summarized by (kernel, lambda),
+        # so a repeat would run the same trials again or merge two groups.
+        for what, values in (("kernel", [k.name for k in self.kernels]),
+                             ("lengthscale", self.lambda_grid)):
+            repeats = sorted({v for v in values if values.count(v) > 1})
+            if repeats:
+                raise UsageError(f"config repeats {what} {', '.join(map(str, repeats))}")
         for lam in self.lambda_grid:
             if not (0.0 < lam < 1.0):
                 raise UsageError(f"lengthscales must lie in (0, 1), got {lam}")
@@ -290,7 +297,7 @@ def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol
     grid = build_grid(d, L)
     C = discretize(kernel_for(template.name, lam, template.smoothness, template.period), grid)
     factor = cholesky_psd(C)
-    quant = operator_quantities(C, tol=tol, keep_form=True)
+    quant = operator_quantities(C, tol=tol)
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
     return Prep(
         kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,

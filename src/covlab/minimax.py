@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .diagnostics import NuSequence, kl_gaussian_both, m_star
-from .sampling import CholFactor, draw_paths
+from .diagnostics import NuSequence, gamma2, kl_gaussian_both, m_star
+from .grid_kernel import CovMatrix
+from .sampling import cholesky_psd
 
 __all__ = [
     "BandedFamilySpec",
@@ -57,15 +58,6 @@ class CheckResult:
     bound: float
     slack: float
 
-    def lines(self, slack_key: str = "slack") -> list:
-        """The four report lines: name.pass, .measured, .bound and .<slack_key>."""
-        return [
-            f"{self.name}.pass={'true' if self.passed else 'false'}",
-            f"{self.name}.measured={self.measured!r}",
-            f"{self.name}.bound={self.bound!r}",
-            f"{self.name}.{slack_key}={self.slack!r}",
-        ]
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -83,7 +75,9 @@ def _check(name: str, measured: float, bound: float, kind: str) -> CheckResult:
         slack = bound - abs(measured)
     else:
         raise UsageError(f"unknown check kind {kind}")
-    return CheckResult(name=name, passed=slack >= 0.0, measured=measured, bound=bound,
+    # A Python bool even for a numpy slack: reports print a numpy bool as
+    # "False" or "True", not "false" or "true".
+    return CheckResult(name=name, passed=bool(slack >= 0.0), measured=measured, bound=bound,
                        slack=slack)
 
 
@@ -496,12 +490,8 @@ def certify_sparse_membership(
     checks.append(_check("gamma1_budget", g1, spec.gamma1_q, "le"))
     cap_bound = math.sqrt(2.0 * math.log(n))
     checks.append(_check("cap_vs_gamma2", cap_bound, spec.gamma2 * (1 + 1e-12), "le"))
-    lower = np.linalg.cholesky(Sigma)
-    draws = draw_paths(CholFactor(lower=lower, jitter_used=0.0, grid_h=1.0 / n),
-                       mc_samples, seed)
-    maxima = draws.paths.max(axis=1)
-    est = float(np.mean(maxima))
-    se = float(np.std(maxima, ddof=1)) / math.sqrt(mc_samples)
+    # The largest variance is Sigma[0, 0] = 1, so gamma2's scale is exactly 1.
+    est, se = gamma2(cholesky_psd(CovMatrix(Sigma, 1.0 / n)), mc_samples, seed)
     checks.append(_check("capacity_mc", est, cap_bound + 3.0 * se, "le"))
     # Its q=0 variant counts the support, with the 0^0 = 0 convention.
     g0 = float(np.max(np.sum(Sigma != 0.0, axis=1))) * k_inf / norm
@@ -568,16 +558,6 @@ class AssouadReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def format(self) -> str:
-        lines = [
-            f"alpha_min={self.alpha_min!r}",
-            f"worst_kl={self.worst_kl!r}",
-            f"worst_frob2={self.worst_frob2!r}",
-        ]
-        for c in self.checks:
-            lines.extend(c.lines())
-        return "\n".join(lines)
 
 
 def _banded_pair_data(spec: BandedFamilySpec, a: ThetaIndex, b: ThetaIndex):

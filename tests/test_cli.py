@@ -12,7 +12,9 @@ import pytest
 import covlab.cli
 import covlab.diagnostics
 import covlab.experiments
+import covlab.minimax
 from covlab import (
+    BandedFamilySpec,
     ExperimentConfig,
     KernelTemplate,
     SampleSet,
@@ -23,7 +25,7 @@ from covlab import (
     run_trial,
 )
 from covlab.cli import build_parser, main, parse_config_file
-from covlab.experiments import TRIAL_HEADER
+from covlab.experiments import TRIAL_HEADER, format_value
 
 
 def _run(capsys, argv):
@@ -81,7 +83,7 @@ class TestDiagnose:
         norm = covlab.diagnostics.spectral_norm
 
         def counted(A, *args, **kwargs):
-            calls.append(A.shape)
+            calls.append(A.entries.shape)
             return norm(A, *args, **kwargs)
 
         monkeypatch.setattr(covlab.diagnostics, "spectral_norm", counted)
@@ -258,6 +260,19 @@ class TestSweepCommand:
         failures = [line for line in lines if line.startswith("  kernel=")]
         assert len(failures) == 4 and all("non-finite entries" in line for line in failures)
         assert lines[-1].startswith("sweep: 4 trials, 4 failed, ")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"kernel.list": "se,se"}, "config repeats kernel se"),
+        ({"kernel.list": "se,se", "kernel.nu_list": "se,exp"}, "config repeats kernel se"),
+        ({"sweep.lambda_grid": "0.2,0.5,0.2"}, "config repeats lengthscale 0.2"),
+    ], ids=["kernel", "kernel-other-nu", "lambda"])
+    def test_repeated_grid_entry_exits_2(self, capsys, tmp_path, overrides, message):
+        code, out, err = _run(capsys, [
+            "sweep", "--config", str(_write_config(tmp_path, **overrides)),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert (code, out, err) == (2, "", f"covlab: error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_plot_flag_adds_svg(self, capsys, tmp_path):
         cfg = _write_config(tmp_path)
@@ -452,6 +467,109 @@ class TestMinimaxCheck:
         ])
         assert code == 2
         assert "covlab: error:" in err
+
+
+def _parsed(text: str):
+    """The value a printed text stands for: bool, None, int, float or str."""
+    if text in ("true", "false", "na"):
+        return {"true": True, "false": False, "na": None}[text]
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _report(out: str, prefix: str) -> list:
+    """The (key, text) pairs printed after the sorted <prefix>.* header.
+
+    Every line after '# resolved config' must be key=value with the text
+    format_value gives its value; in the report, floats round-trip through
+    float(), the counts are ints, and .pass values are true or false.
+    """
+    lines = out.splitlines()
+    assert lines[0] == "# resolved config"
+    pairs = [tuple(line.split("=", 1)) for line in lines[1:]]
+    assert all(len(pair) == 2 and pair[0] for pair in pairs), lines
+    assert all(format_value(_parsed(text)) == text for _, text in pairs)
+    header = [key for key, _ in pairs if key.startswith(prefix)]
+    assert [key for key, _ in pairs[:len(header)]] == header == sorted(header)
+    report = pairs[len(header):]
+    for key, text in report:
+        if key.endswith(".pass"):
+            assert text in ("true", "false"), (key, text)
+        elif key == "family":
+            assert text.isidentifier(), (key, text)
+        elif key in ("members", "samples", "pairs", "m_star"):
+            assert str(int(text)) == text, (key, text)
+        else:
+            assert repr(float(text)) == text, (key, text)
+    return report
+
+
+def _check_keys(names, slack: str) -> list:
+    return [f"{name}.{part}" for name in names for part in ("pass", "measured", "bound", slack)]
+
+
+def _minimax_keys(family: str, r: int, N: int) -> list:
+    """The report keys of minimax-check, in order."""
+    if family == "f1":
+        return ["family", "members", "separation", "psd.pass", "separation_exact.pass"]
+    assouad = ["hamming_two_ways", "witness_exact", "witness_lower_bound"]
+    if family == "sparse":
+        certs = ["lambda_min", "op_norm_unit", "gamma1_budget", "cap_vs_gamma2",
+                 "capacity_mc", "support_product"]
+        assouad += ["alpha_vs_ell_eps_over_r", "kl_vs_frobenius"]
+    else:
+        ms = BandedFamilySpec(kind=family, r=r, N=N, nu=covlab.cli._minimax_nu()).m_star
+        certs = ["lifted_trace", "gershgorin_row_mass", "lambda_min", "l1_norm",
+                 "r_eff_lower", "r_eff_upper"]
+        certs += [f"tail_bound_m{m}" if m < ms else f"tail_zero_m{m}" for m in range(1, ms + 3)]
+        assouad += ["kl_vs_frobenius"] + (["frobenius_budget"] if family == "f2" else [])
+    return (["family", "samples"] + _check_keys(certs, "worst_slack")
+            + ["pairs", "alpha_min", "worst_kl", "worst_frob2"] + _check_keys(assouad, "slack"))
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("extra, keys", [
+        ([], []),
+        (["--q", "0.5"], ["gamma1.q0.5"]),
+        (["--mc-samples", "64"], ["gamma2", "gamma2_se"]),
+        (["--N", "100"], ["m_star", "eps_star"]),
+        (["--q", "0.5", "--mc-samples", "64", "--N", "100"],
+         ["gamma1.q0.5", "gamma2", "gamma2_se", "m_star", "eps_star"]),
+    ], ids=["plain", "q", "mc", "N", "all"])
+    def test_diagnose(self, capsys, extra, keys):
+        code, out, _ = _run(capsys, ["diagnose", "--kernel", "se", "--lambda", "0.1",
+                                     "--L", "64"] + extra)
+        assert code == 0
+        want = ["trace_op", "op_norm", "r_eff", "gamma1.q0.5", "gamma1.q1",
+                "gamma2", "gamma2_se", "m_star", "eps_star"]
+        keep = {"trace_op", "op_norm", "r_eff", "gamma1.q1", *keys}
+        assert [key for key, _ in _report(out, "diagnose.")] == [k for k in want if k in keep]
+
+    @pytest.mark.parametrize("family, r, N, samples", [
+        ("f1", 16, 50, 20), ("f2", 16, 50, 2), ("f3", 16, 100000, 2), ("sparse", 63, 7, 1),
+    ])
+    def test_minimax_check(self, capsys, family, r, N, samples):
+        argv = ["minimax-check", "--class", family, "--samples", str(samples)]
+        if family != "sparse":
+            argv += ["--r", str(r), "--N", str(N)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        report = _report(out, "minimax.")
+        assert [key for key, _ in report] == _minimax_keys(family, r, N)
+        assert {text for key, text in report if key.endswith(".pass")} == {"true"}
+
+    def test_a_failing_check_prints_false_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(covlab.minimax, "_TAIL_CONST", 0.0)
+        code, out, _ = _run(capsys, ["minimax-check", "--class", "f2", "--r", "16",
+                                     "--N", "50", "--samples", "2"])
+        assert code == 1
+        report = dict(_report(out, "minimax."))
+        assert report["tail_bound_m1.pass"] == "false"
+        assert float(report["tail_bound_m1.worst_slack"]) < 0.0
 
 
 class TestMemory:

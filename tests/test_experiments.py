@@ -72,6 +72,21 @@ class TestSampleCountRule:
             _cfg(lambda_grid=(0.0,))
 
 
+class TestRepeatsRefused:
+    # Trials are seeded by grid position (the first match) and summarized
+    # by (kernel, lambda), so a repeat would rerun or merge whole cells.
+    @pytest.mark.parametrize("second", [
+        KernelTemplate("se"), KernelTemplate("se", nu_source="exp"),
+    ], ids=["same", "other-nu"])
+    def test_repeated_kernel_name(self, second):
+        with pytest.raises(UsageError, match="config repeats kernel se$"):
+            _cfg(kernels=(KernelTemplate("se"), KernelTemplate("matern"), second))
+
+    def test_repeated_lengthscale(self):
+        with pytest.raises(UsageError, match="config repeats lengthscale 0.1$"):
+            _cfg(lambda_grid=(0.1, 0.2, 0.1))
+
+
 class TestTrialSeeds:
     def test_deterministic_and_distinct(self):
         cfg = _cfg()
