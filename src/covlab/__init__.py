@@ -13,7 +13,6 @@ from .grid_kernel import (
     KernelSpec,
     Matern,
     Periodic,
-    Permuted,
     PiecewiseConstant,
     SquaredExponential,
     build_grid,
@@ -57,8 +56,7 @@ from .minimax import (
     ThetaIndex,
     assouad_terms,
     build_f1_banded,
-    build_f2_banded,
-    build_f3_banded,
+    build_linked_banded,
     build_sparse_theta,
     certify_banded_membership,
     certify_sparse_membership,

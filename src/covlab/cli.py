@@ -38,7 +38,7 @@ from .experiments import (
     summarize,
     trial_row,
 )
-from .grid_kernel import Permuted, PiecewiseConstant, build_grid, discretize
+from .grid_kernel import PiecewiseConstant, build_grid, discretize, shuffle_cov
 from .matrixio import dump_matrix
 from .minimax import (
     BandedFamilySpec,
@@ -157,6 +157,8 @@ def _print_flags(args, seed: int) -> None:
 
 
 def cmd_diagnose(args) -> int:
+    if args.mc_samples < 0:
+        raise UsageError(f"--mc-samples must be >= 0, got {args.mc_samples}")
     seed = _resolve_seed(args.seed)
     _print_flags(args, seed)
     grid = build_grid(args.d, args.L)
@@ -164,9 +166,9 @@ def cmd_diagnose(args) -> int:
         spec = PiecewiseConstant(values=np.eye(_PWC_CELLS))
     else:
         spec = kernel_for(args.kernel, args.lam, KernelTemplate.smoothness, KernelTemplate.period)
-        if args.kernel == "permuted":
-            spec = Permuted(base=spec, seed=seed)
     C = discretize(spec, grid)
+    if args.kernel == "permuted":
+        C = shuffle_cov(C, seed)[0]
     quant = operator_quantities(C)
     report = [("trace_op", quant.trace_op), ("op_norm", quant.op_norm), ("r_eff", quant.r_eff)]
     for q in sorted({1.0} if args.q is None else {1.0, args.q}):
@@ -331,7 +333,7 @@ def cmd_minimax_check(args) -> int:
     N = args.N if args.N is not None else def_n
     if family == "sparse" and args.tau is not None:
         raise UsageError("--tau applies to the banded families, not sparse")
-    if family != "f1" and args.samples < 1:
+    if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     tau = args.tau if args.tau is not None else def_tau
     seed = _resolve_seed(args.seed)

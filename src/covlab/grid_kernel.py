@@ -23,7 +23,6 @@ __all__ = [
     "SquaredExponential",
     "Matern",
     "Periodic",
-    "Permuted",
     "PiecewiseConstant",
     "KernelSpec",
     "CovMatrix",
@@ -157,22 +156,6 @@ class Periodic:
         return np.exp(-2.0 * s * s / (self.lengthscale**2))
 
 
-@dataclass(frozen=True)
-class Permuted:
-    """Base kernel scrambled by a seeded permutation of the grid indices.
-
-    This is an index-level notion: the matrix is B[pi, :][:, pi] for the
-    discretized base matrix B, so there is no pointwise k(x, y) to evaluate.
-    """
-
-    base: "KernelSpec"
-    seed: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.base, Permuted):
-            raise UsageError("permutation of a permuted kernel is not allowed")
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstant:
     """Lift of an M x M matrix to a kernel constant on M equal cells.
@@ -200,7 +183,7 @@ class PiecewiseConstant:
         return self.values.shape[0]
 
 
-KernelSpec = Union[SquaredExponential, Matern, Periodic, Permuted, PiecewiseConstant]
+KernelSpec = Union[SquaredExponential, Matern, Periodic, PiecewiseConstant]
 
 
 # ------------------------------------------------------ kernel evaluation ----
@@ -223,11 +206,6 @@ def _pwc_cell_of_point(x: float, M: int) -> int:
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate k(x, y) for points x, y in [0,1]^d, to the bit as ``discretize`` does."""
     px, py = _point_pair(x, y)
-    if isinstance(spec, Permuted):
-        raise UsageError(
-            "permuted kernels are index-level objects; use discretize, "
-            "pointwise evaluation is undefined"
-        )
     if isinstance(spec, PiecewiseConstant):
         if px.size != 1:
             raise UsageError("piecewise-constant lift evaluates points only for d=1")
@@ -319,8 +297,6 @@ def discretize(spec: KernelSpec, grid: Grid) -> CovMatrix:
     The output is exactly symmetric: every construction path below computes
     entry (i, j) and entry (j, i) from bitwise-identical expressions.
     """
-    if isinstance(spec, Permuted):
-        return shuffle_cov(discretize(spec.base, grid), spec.seed)[0]
     if isinstance(spec, PiecewiseConstant):
         cells = _pwc_cells_for_grid(spec.cells, grid.n)
         return CovMatrix(entries=spec.values[np.ix_(cells, cells)], grid_h=grid.h)
@@ -331,10 +307,14 @@ def discretize(spec: KernelSpec, grid: Grid) -> CovMatrix:
 # ------------------------------------------------------------- tapering ----
 
 
+def _check_taper_radius(kappa: float) -> None:
+    if not 0 < kappa < np.inf:  # an infinite radius would give nan weights
+        raise UsageError(f"taper radius must be finite and > 0, got {kappa}")
+
+
 def taper_weight(kappa: float, x, y) -> float:
     """Flat-top taper: 1 within kappa, linear ramp to 0 at 2*kappa, per axis."""
-    if not kappa > 0:
-        raise UsageError(f"taper radius must be > 0, got {kappa}")
+    _check_taper_radius(kappa)
     px, py = _point_pair(x, y)
     t = np.abs(px - py)
     w = np.clip((2.0 * kappa - t) / kappa, 0.0, 1.0)
@@ -343,8 +323,7 @@ def taper_weight(kappa: float, x, y) -> float:
 
 def taper_weight_sumform(kappa: float, x, y) -> float:
     """Signed-sum form of the taper: kappa^-d sum over sigma in {1,2}^d."""
-    if not kappa > 0:
-        raise UsageError(f"taper radius must be > 0, got {kappa}")
+    _check_taper_radius(kappa)
     px, py = _point_pair(x, y)
     t = np.abs(px - py)
     d = t.size
@@ -360,8 +339,7 @@ def taper_weight_sumform(kappa: float, x, y) -> float:
 
 def taper_weight_matrix(kappa: float, grid: Grid) -> np.ndarray:
     """All-pairs taper weights on a grid, one (n, n) block per axis."""
-    if not 0 < kappa < np.inf:  # an infinite radius would give nan weights
-        raise UsageError(f"taper radius must be finite and > 0, got {kappa}")
+    _check_taper_radius(kappa)
     # Built in place: the first axis's ramp becomes the result, and each
     # later axis reuses one scratch array.
     w = t = None

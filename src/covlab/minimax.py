@@ -31,8 +31,7 @@ __all__ = [
     "CertificateReport",
     "AssouadReport",
     "build_f1_banded",
-    "build_f2_banded",
-    "build_f3_banded",
+    "build_linked_banded",
     "build_sparse_theta",
     "certify_banded_membership",
     "certify_sparse_membership",
@@ -237,7 +236,9 @@ def build_f1_banded(spec: BandedFamilySpec) -> list:
     return members
 
 
-def _build_linked(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
+def build_linked_banded(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
+    """Member of a linked family (f2 or f3): the identity plus spec.amplitude
+    on the links of each set theta bit."""
     links = spec.links()
     if len(theta.bits) != len(links):
         raise UsageError(
@@ -253,20 +254,6 @@ def _build_linked(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
     return np.eye(spec.r) + upper + upper.T
 
 
-def build_f2_banded(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
-    """Member of the large-r linked family (unit diagonal, tau*h_N links)."""
-    if spec.kind != "f2":
-        raise UsageError(f"spec is for kind {spec.kind!r}, expected f2")
-    return _build_linked(spec, theta)
-
-
-def build_f3_banded(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
-    """Member of the small-r linked family (amplitude tau/sqrt(N r))."""
-    if spec.kind != "f3":
-        raise UsageError(f"spec is for kind {spec.kind!r}, expected f3")
-    return _build_linked(spec, theta)
-
-
 # ----------------------------------------------------- banded certifier ----
 
 
@@ -277,9 +264,7 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
     bound, the effective-dimension window, and the banding tails (exactly
     zero beyond the truncation index, tail-sequence bounded below it).
     """
-    if spec.kind not in ("f2", "f3"):
-        raise UsageError("membership certificates apply to the linked families")
-    Sigma = _build_linked(spec, theta)
+    Sigma = build_linked_banded(spec, theta)  # refuses an f1 spec
     r, S, d = spec.r, spec.S, spec.d
     eigs = np.linalg.eigvalsh(Sigma)
     lam_min, norm = float(eigs[0]), float(np.max(np.abs(eigs)))
@@ -561,7 +546,7 @@ class AssouadReport:
 
 
 def _banded_pair_data(spec: BandedFamilySpec, a: ThetaIndex, b: ThetaIndex):
-    Sa, Sb = _build_linked(spec, a), _build_linked(spec, b)
+    Sa, Sb = build_linked_banded(spec, a), build_linked_banded(spec, b)
     h_bits = sum(x != y for x, y in zip(a.bits, b.bits))
     cells = spec.active_cells()
     dims = (spec.S,) * spec.d

@@ -22,7 +22,6 @@ from covlab import (
     Matern,
     NuSequence,
     Periodic,
-    Permuted,
     PiecewiseConstant,
     SampleSet,
     SparseFamilySpec,
@@ -194,10 +193,11 @@ def test_criterion_05_sparsity_floor():
             elif variant == "periodic":
                 spec = Periodic(lengthscale=lam, period=float(rng.uniform(0.2, 0.8)))
             else:
-                spec = Permuted(
-                    base=SquaredExponential(lengthscale=lam), seed=int(rng.integers(2**31))
-                )
+                spec = SquaredExponential(lengthscale=lam)
+                shuffle_seed = int(rng.integers(2**31))
         C = discretize(spec, build_grid(1, L))
+        if variant == "permuted":
+            C = shuffle_cov(C, shuffle_seed)[0]
         g1 = gamma1(C, 1.0)
         min_floor = min(min_floor, g1)
         for q in (0.25, 0.5):

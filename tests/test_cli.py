@@ -18,11 +18,19 @@ from covlab import (
     ExperimentConfig,
     KernelTemplate,
     SampleSet,
+    SquaredExponential,
     UsageError,
+    build_grid,
+    cholesky_psd,
+    discretize,
+    gamma1,
+    gamma2,
     load_matrix,
     load_summaries,
     load_trials,
+    operator_quantities,
     run_trial,
+    shuffle_cov,
 )
 from covlab.cli import build_parser, main, parse_config_file
 from covlab.experiments import TRIAL_HEADER, format_value
@@ -115,6 +123,34 @@ class TestDiagnose:
         ])
         assert code == 2
         assert "covlab: error:" in err and "'pwc'" in err
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_permuted_is_the_seeded_shuffle_of_the_se_truth(self, capsys, seed):
+        # gamma2 reads the Cholesky factor, which depends on the index order,
+        # so another permutation (or none) changes its printed value.
+        code, out, _ = _run(capsys, [
+            "diagnose", "--kernel", "permuted", "--lambda", "0.05", "--L", "64",
+            "--mc-samples", "64", "--seed", str(seed),
+        ])
+        assert code == 0
+        C = shuffle_cov(discretize(SquaredExponential(0.05), build_grid(1, 64)), seed)[0]
+        quant = operator_quantities(C)
+        g2, g2_se = gamma2(cholesky_psd(C), 64, seed)
+        expected = {"op_norm": quant.op_norm, "r_eff": quant.r_eff,
+                    "gamma1.q1": gamma1(C, 1.0, op_norm=quant.op_norm),
+                    "gamma2": g2, "gamma2_se": g2_se}
+        for key, value in expected.items():
+            assert f"\n{key}={format_value(value)}\n" in out
+
+    @pytest.mark.parametrize("count", ["-1", "-5"])
+    def test_negative_mc_samples_exits_2(self, capsys, count):
+        argv = ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "16"]
+        code, out, err = _run(capsys, argv + ["--mc-samples", count])
+        assert code == 2
+        assert f"--mc-samples must be >= 0, got {count}" in err
+        assert out == ""
+        code, out, _ = _run(capsys, argv + ["--mc-samples", "0"])  # 0 still means off
+        assert code == 0 and "gamma2=" not in out
 
     def test_bad_kernel_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -451,7 +487,7 @@ class TestMinimaxCheck:
         assert code == 2
         assert "--tau" in err
 
-    @pytest.mark.parametrize("family", ["f2", "f3", "sparse"])
+    @pytest.mark.parametrize("family", ["f1", "f2", "f3", "sparse"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_fewer_than_one_sample_exits_2(self, capsys, family, samples):
         code, _, err = _run(capsys, ["minimax-check", "--class", family, "--samples", samples])

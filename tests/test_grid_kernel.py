@@ -11,7 +11,6 @@ from covlab import (
     CovMatrix,
     Matern,
     Periodic,
-    Permuted,
     PiecewiseConstant,
     SquaredExponential,
     UsageError,
@@ -91,10 +90,14 @@ class TestTaperWeight:
         assert worst <= 1e-12
 
     def test_rejects_nonpositive_kappa(self):
-        with pytest.raises(UsageError):
-            taper_weight(0.0, 0.0, 0.5)
-        with pytest.raises(UsageError):
-            taper_weight(-0.1, 0.0, 0.5)
+        g = build_grid(1, 4)
+        calls = (lambda k: taper_weight(k, 0.0, 0.5),
+                 lambda k: taper_weight_sumform(k, 0.0, 0.5),
+                 lambda k: taper_weight_matrix(k, g))
+        for call in calls:
+            for bad in (0.0, -0.1, math.nan, math.inf):
+                with pytest.raises(UsageError, match="finite and > 0"):
+                    call(bad)
 
     def test_weight_matrix_matches_scalar_calls(self):
         g = build_grid(2, 3)
@@ -162,26 +165,6 @@ class TestKernels:
                 Matern(bad)
             with pytest.raises(UsageError):
                 Periodic(bad, period=0.4)
-
-    def test_permuted_eval_is_undefined(self):
-        k = Permuted(SquaredExponential(0.2), seed=3)
-        with pytest.raises(UsageError):
-            eval_kernel(k, 0.0, 0.5)
-
-    def test_permuted_discretize_reorders_base_matrix(self):
-        g = build_grid(1, 12)
-        base = discretize(SquaredExponential(0.15), g)
-        got = discretize(Permuted(SquaredExponential(0.15), seed=5), g)
-        perm = fisher_yates_permutation(12, 5)
-        np.testing.assert_array_equal(
-            got.entries, base.entries[np.ix_(perm, perm)]
-        )
-        assert got.grid_h == base.grid_h
-
-    def test_permuted_of_permuted_rejected(self):
-        inner = Permuted(SquaredExponential(0.2), seed=1)
-        with pytest.raises(UsageError):
-            Permuted(inner, seed=2)
 
 
 class TestDiscretize:

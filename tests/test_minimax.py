@@ -16,8 +16,7 @@ from covlab import (
     UsageError,
     assouad_terms,
     build_f1_banded,
-    build_f2_banded,
-    build_f3_banded,
+    build_linked_banded,
     build_sparse_theta,
     certify_banded_membership,
     certify_sparse_membership,
@@ -80,12 +79,12 @@ class TestLinkedBandedFamilies:
     def test_f2_zero_theta_is_identity(self):
         spec = _f2_spec()
         theta = ThetaIndex(bits=(0,) * spec.gamma_N)
-        np.testing.assert_array_equal(build_f2_banded(spec, theta), np.eye(spec.r))
+        np.testing.assert_array_equal(build_linked_banded(spec, theta), np.eye(spec.r))
 
     def test_f2_off_diagonal_amplitude(self):
         spec = _f2_spec()
         theta = ThetaIndex(bits=(1,) * spec.gamma_N)
-        Sigma = build_f2_banded(spec, theta)
+        Sigma = build_linked_banded(spec, theta)
         off = Sigma[~np.eye(spec.r, dtype=bool)]
         nonzero = off[off != 0.0]
         assert nonzero.size > 0
@@ -94,7 +93,7 @@ class TestLinkedBandedFamilies:
     def test_f2_eigenvalue_floor(self):
         spec = _f2_spec()
         theta = ThetaIndex(bits=(1,) * spec.gamma_N)
-        Sigma = build_f2_banded(spec, theta)
+        Sigma = build_linked_banded(spec, theta)
         assert np.linalg.eigvalsh(Sigma).min() >= 0.75 - 1e-10
         col_mass = np.abs(Sigma).sum(axis=0).max()
         assert col_mass <= 1.25
@@ -116,12 +115,12 @@ class TestLinkedBandedFamilies:
     def test_f3_zero_theta_is_identity(self):
         spec = _f3_spec()
         theta = ThetaIndex(bits=(0,) * spec.gamma_N)
-        np.testing.assert_array_equal(build_f3_banded(spec, theta), np.eye(spec.r))
+        np.testing.assert_array_equal(build_linked_banded(spec, theta), np.eye(spec.r))
 
     def test_f3_amplitude_and_certificate(self):
         spec = _f3_spec()
         theta = ThetaIndex(bits=(1,) * spec.gamma_N)
-        Sigma = build_f3_banded(spec, theta)
+        Sigma = build_linked_banded(spec, theta)
         off = Sigma[~np.eye(spec.r, dtype=bool)]
         nonzero = off[off != 0.0]
         np.testing.assert_allclose(nonzero, spec.tau / math.sqrt(spec.N * spec.r))
@@ -143,8 +142,10 @@ class TestLinkedBandedFamilies:
         with pytest.raises(UsageError):
             # 20 cells cannot tile a 2-d axis-aligned partition
             BandedFamilySpec(kind="f2", r=20, N=50, d=2, nu=_nu_table())
-        with pytest.raises(UsageError):
-            build_f2_banded(_f3_spec(), ThetaIndex(bits=(0,) * _f3_spec().gamma_N))
+        with pytest.raises(UsageError, match="no perturbation cells"):
+            # the diagonal family has no links to set
+            build_linked_banded(BandedFamilySpec(kind="f1", r=16, N=100, tau=0.01),
+                                ThetaIndex(bits=()))
 
     def test_theta_bits_validated(self):
         with pytest.raises(UsageError):
@@ -158,8 +159,7 @@ def _tails_by_definition(spec, theta, r_eff):
     over the cells j whose farthest point from cell i lies at least
     m * r_eff^(-1/d) away.
     """
-    build = build_f2_banded if spec.kind == "f2" else build_f3_banded
-    Sigma = build(spec, theta)
+    Sigma = build_linked_banded(spec, theta)
     r, S, d = spec.r, spec.S, spec.d
     coords = [tuple(int(c) for c in np.unravel_index(j, (S,) * d)) for j in range(r)]
     rows = range(r)
@@ -345,8 +345,8 @@ class TestAssouadTerms:
         spec = _f2_spec()
         theta = ThetaIndex(bits=(0,) * spec.gamma_N)
         other = flip_bit(theta, 0)
-        A = build_f2_banded(spec, theta)
-        B = build_f2_banded(spec, other)
+        A = build_linked_banded(spec, theta)
+        B = build_linked_banded(spec, other)
         frob2 = float(np.sum((A - B) ** 2))
         assert frob2 <= 2.0 * spec.tau**2 * spec.h_N**2 * (2 * spec.K) ** spec.d
 
@@ -385,8 +385,7 @@ class TestAssouadTerms:
             bits = spec.r_star
         else:
             spec = _f2_spec(r=64) if family == "f2" else _f3_spec()
-            sample = sample_banded_theta
-            build = build_f2_banded if family == "f2" else build_f3_banded
+            sample, build = sample_banded_theta, build_linked_banded
             bits = spec.gamma_N
         for i in range(4):
             theta = sample(spec, 18, i)
