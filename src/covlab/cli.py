@@ -157,8 +157,8 @@ def _print_flags(args, seed: int) -> None:
 
 
 def cmd_diagnose(args) -> int:
-    if args.mc_samples < 0:
-        raise UsageError(f"--mc-samples must be >= 0, got {args.mc_samples}")
+    if args.mc_samples < 0 or args.mc_samples == 1:  # gamma2 needs two draws for its standard error
+        raise UsageError(f"--mc-samples must be 0 (off) or >= 2, got {args.mc_samples}")
     seed = _resolve_seed(args.seed)
     _print_flags(args, seed)
     grid = build_grid(args.d, args.L)

@@ -48,6 +48,17 @@ _LANCZOS_SEED = 0x5EED_0C0B
 # -------------------------------------------------------- spectral norm ----
 
 
+# Largest asymmetry, or centro-asymmetry, relative to max |entry| that is
+# taken for rounding and folded in.
+_FOLD_TOL = 1e-12
+
+
+def _largest_gap(A: np.ndarray, B: np.ndarray) -> float:
+    """max(A - B), 64 rows at a time: max |A - B| for B = A^T or A rotated
+    by 180 degrees, as A - B then holds each difference and its negation."""
+    return max(float(np.subtract(A[i:i + 64], B[i:i + 64]).max()) for i in range(0, len(A), 64))
+
+
 def _symmetric(A, name: str) -> np.ndarray:
     """A as an exactly symmetric float64 array.
 
@@ -65,13 +76,8 @@ def _symmetric(A, name: str) -> np.ndarray:
     scale = max(float(A.max()), -float(A.min()))
     if not math.isfinite(scale):
         raise UsageError("matrix has a non-finite entry (nan or inf)")
-    # max |A - A^T|, 64 rows at a time: A - A^T is exactly antisymmetric in
-    # floating point, so its largest entry is its largest magnitude.
-    asym = max(
-        float(np.subtract(A[i:i + 64], A[:, i:i + 64].T).max())
-        for i in range(0, A.shape[0], 64)
-    )
-    if asym > 1e-12 * scale:
+    asym = _largest_gap(A, A.T)
+    if asym > _FOLD_TOL * scale:
         raise UsageError(f"{name} is not symmetric: relative asymmetry {asym / scale:.3e}")
     if asym != 0.0:
         A = np.add(A, A.T)
@@ -166,12 +172,17 @@ class TridiagonalForm:
     H_j0 ... H_{j0+w-1} = I - V S V^T on rows j0+1 and below, V the
     reflectors' vectors there and S upper triangular.  ``spectrum`` is T's
     (and A's) eigenvalues, ascending.
+
+    A ``split`` form (of a centrosymmetric A) has Q = K^T blockdiag(Q_1, Q_2),
+    K the half-sum and half-difference map of ``transpose_apply``; e is 0.0
+    at the seam of the blocks, and Q_2's panels follow Q_1's.
     """
 
     d: np.ndarray
     e: np.ndarray
     panels: tuple
     spectrum: np.ndarray
+    split: bool = False
 
     @property
     def n(self) -> int:
@@ -183,13 +194,19 @@ class TridiagonalForm:
 
     def transpose_apply(self, X: np.ndarray) -> np.ndarray:
         """Q^T X for an (n, k) X: X <- (I - V S^T V^T) X, one panel at a
-        time from the first, so no (n, n) array is formed."""
+        time from the first, so no (n, n) array is formed.  A split form
+        first takes X's halves to (X_top +- J X_bot) / sqrt 2, J reversing
+        row order; an odd n's middle row ends the first block."""
         X = np.array(X, dtype=np.float64)
+        if self.split:
+            m = self.n // 2
+            flip = X[self.n - m:][::-1]
+            X[:m], X[self.n - m:] = (X[:m] + flip) / math.sqrt(2.0), (X[:m] - flip) / math.sqrt(2.0)
         j0 = 0
         for V, S in self.panels:
-            rows = X[j0 + 1:]
+            rows = X[j0 + 1:j0 + 1 + V.shape[0]]
             rows -= V @ (S.T @ (V.T @ rows))
-            j0 += S.shape[0]
+            j0 += S.shape[0] + (V.shape[0] == S.shape[0])  # past a block's end: skip the seam
         return X
 
 
@@ -211,29 +228,56 @@ def _wy_panels(c: np.ndarray, tau: np.ndarray) -> tuple:
     return tuple(panels)
 
 
+def _reduce(blocks: list) -> TridiagonalForm:
+    """The form of blockdiag(*blocks): a blocked ``dsytrd`` per exactly
+    symmetric block (its output dropped once its reflectors are in panels;
+    B^T is Fortran-ordered and equal to B, so it is passed uncopied), then
+    one ``dsterf`` on the joined tridiagonal for the spectrum."""
+    ds, es, panels = [], [], []
+    for B in blocks:
+        lwork = int(scipy.linalg.lapack.dsytrd_lwork(B.shape[0], lower=1)[0])
+        c, d, e, tau, info = scipy.linalg.lapack.dsytrd(B.T, lower=1, lwork=max(lwork, 1))
+        if info != 0:
+            raise NumericError(f"LAPACK dsytrd failed with info={info}")
+        panels += _wy_panels(c, tau)
+        del c
+        ds.append(d)
+        es += [np.zeros(1), e] if es else [e]
+    d, e = np.concatenate(ds), np.concatenate(es)
+    spectrum, info = (d.copy(), 0) if d.size == 1 else scipy.linalg.lapack.dsterf(d, e)
+    if info != 0:
+        raise NumericError(f"LAPACK dsterf failed with info={info}")
+    return TridiagonalForm(d=d, e=e, panels=tuple(panels), spectrum=spectrum, split=len(blocks) > 1)
+
+
 def tridiagonal_form(A: np.ndarray | CovMatrix) -> TridiagonalForm:
     """Householder tridiagonal form of a non-empty symmetric matrix, after
     the input checks of ``spectral_norm`` (last-bit asymmetry folded in).
 
-    One blocked ``dsytrd`` (the reduction inside a dense eigenvalue solve)
-    and one ``dsterf`` for the spectrum; the (n, n) output of dsytrd is
-    dropped once its reflectors are in panels.  A^T is passed because it is
-    Fortran-ordered and equal to A, so no transposing copy is made.
+    A matrix also centrosymmetric, A[n-1-i, n-1-j] = A[i, j] to within 1e-12
+    of max |A| (as a stationary kernel on the symmetric grid is), gives the
+    split form of its fold P = (A + A[::-1, ::-1]) / 2: with m = n // 2 and
+    H = P[:m, n-m:] J, P is orthogonally similar to blockdiag(P[:m, :m] + H,
+    P[:m, :m] - H) (Cantoni & Butler 1976), two half-size reductions.  An
+    odd n's first block also holds P's middle row and column, times sqrt 2
+    off the diagonal.  Any other matrix is reduced as one block.
     """
     A = _symmetric(A, "matrix")
     if not A.size:
         raise UsageError("tridiagonal_form needs a non-empty matrix")
-    n = A.shape[0]
-    lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
-    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(A.T, lower=1, lwork=max(lwork, 1))
-    if info != 0:
-        raise NumericError(f"LAPACK dsytrd failed with info={info}")
-    panels = _wy_panels(c, tau)
-    del c
-    spectrum, info = (d.copy(), 0) if n == 1 else scipy.linalg.lapack.dsterf(d, e)
-    if info != 0:
-        raise NumericError(f"LAPACK dsterf failed with info={info}")
-    return TridiagonalForm(d=d, e=e, panels=panels, spectrum=spectrum)
+    n, m = A.shape[0], A.shape[0] // 2
+    scale = max(float(A.max()), -float(A.min()))
+    if n == 1 or _largest_gap(A, A[::-1, ::-1]) > _FOLD_TOL * scale:
+        return _reduce([A])
+    P = A[:m] + A[n - m:][::-1, ::-1]  # twice the top rows of the fold
+    P *= 0.5
+    H = P[:, ::-1][:, :m]
+    first = np.empty((n - m, n - m))
+    first[:m, :m] = P[:, :m] + H
+    if n - m > m:
+        first[:m, m] = first[m, :m] = math.sqrt(2.0) * P[:, m]
+        first[m, m] = A[m, m]
+    return _reduce([first, P[:, :m] - H])
 
 
 def lowrank_update_norm(form: TridiagonalForm, rows: np.ndarray, block: np.ndarray) -> float:

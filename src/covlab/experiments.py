@@ -278,7 +278,10 @@ class Prep:
 
     form is the truth's tridiagonal form, held when ARPACK could not resolve
     |C| (the truth needed a dense solve); the threshold errors of the cell
-    then come from it.  A permuted cell holds its unshuffled base truth.
+    then come from it, and so does norm.  The form is that of the truth's
+    centrosymmetric fold when ``tridiagonal_form`` finds the truth
+    centrosymmetric to rounding; C and factor keep the truth's own bits.  A
+    permuted cell holds its unshuffled base truth.
     """
 
     kernel: str

@@ -142,12 +142,12 @@ class TestDiagnose:
         for key, value in expected.items():
             assert f"\n{key}={format_value(value)}\n" in out
 
-    @pytest.mark.parametrize("count", ["-1", "-5"])
+    @pytest.mark.parametrize("count", ["-1", "-5", "1"])
     def test_negative_mc_samples_exits_2(self, capsys, count):
         argv = ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "16"]
         code, out, err = _run(capsys, argv + ["--mc-samples", count])
         assert code == 2
-        assert f"--mc-samples must be >= 0, got {count}" in err
+        assert f"--mc-samples must be 0 (off) or >= 2, got {count}" in err
         assert out == ""
         code, out, _ = _run(capsys, argv + ["--mc-samples", "0"])  # 0 still means off
         assert code == 0 and "gamma2=" not in out

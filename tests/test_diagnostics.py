@@ -190,14 +190,19 @@ class TestSpectralNorm:
         assert spectral_norm(A, method="auto") == dense
 
 
-def _planted_top(rng, n, top, cluster, gap, orthogonal_to_ones, bulk=0.5):
+def _planted_top(rng, n, top, cluster, gap, orthogonal_to_ones, bulk=0.5, mirrored=False):
     """Symmetric n x n matrix whose `cluster` largest-magnitude eigenvalues
     lie within relative `gap` of `top`; the rest lie in (-bulk, bulk) * |top|.
 
     With orthogonal_to_ones the top eigenvectors are orthogonal to the ones
-    vector, and ones itself is an eigenvector at 0.9 * top.
+    vector, and ones itself is an eigenvector at 0.9 * top.  A mirrored
+    matrix is exactly centrosymmetric, and its top eigenvectors alternate
+    between even and odd under row reversal, so the blocks of a split form
+    each hold members of the top.
     """
     G = rng.standard_normal((n, cluster + 1))
+    if mirrored:
+        G = np.where(np.arange(cluster + 1) % 2 == 1, G + G[::-1], G - G[::-1])
     if orthogonal_to_ones:
         G[:, 0] = 1.0
     V, _ = np.linalg.qr(G)
@@ -205,9 +210,18 @@ def _planted_top(rng, n, top, cluster, gap, orthogonal_to_ones, bulk=0.5):
     V, values = (V, np.append(0.9 * top, values)) if orthogonal_to_ones else (V[:, 1:], values)
     # The bulk is a diagonal matrix D projected off the planted directions.
     D = rng.uniform(-bulk, bulk, n) * abs(top)
+    if mirrored:
+        D = (D + D[::-1]) / 2.0
     DV = D[:, None] * V
     A = np.diag(D) - V @ DV.T - DV @ V.T + V @ (V.T @ DV) @ V.T + (V * values) @ V.T
-    return (A + A.T) / 2.0
+    A = (A + A.T) / 2.0
+    return _centrosymmetric(A) if mirrored else A
+
+
+def _centrosymmetric(A):
+    """The fold (A + A rotated by 180 degrees) / 2: exactly symmetric and
+    centrosymmetric when A is exactly symmetric."""
+    return (A + A[::-1, ::-1]) / 2.0
 
 
 @pytest.mark.parametrize("orthogonal_to_ones", [False, True], ids=["clustered", "orthogonal"])
@@ -268,6 +282,24 @@ class TestTridiagonalForm:
         n = 300
         form = tridiagonal_form(random_symmetric(np.random.default_rng(0), n))
         assert form_doubles(form) <= n * (n - 1) // 2 + FORM_EXTRA_PER_ROW * n
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 300, 301])
+    def test_splits_a_centrosymmetric_matrix(self, n):
+        A = _centrosymmetric(random_symmetric(np.random.default_rng(n), n))
+        form = tridiagonal_form(A)
+        assert form.split and form.e[n - n // 2 - 1] == 0.0  # the seam
+        T = np.diag(form.d) + np.diag(form.e, 1) + np.diag(form.e, -1)
+        X = np.random.default_rng(1).standard_normal((n, 4))
+        # Q^T A X = T Q^T X
+        assert np.max(np.abs(form.transpose_apply(A @ X) - T @ form.transpose_apply(X))) <= 1e-13 * n
+        assert np.max(np.abs(form.spectrum - np.linalg.eigvalsh(A))) <= 1e-13 * n
+        assert form.norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(A)))), rel=1e-14)
+
+    def test_split_form_holds_a_quarter_of_a_matrix(self):
+        n = 300
+        form = tridiagonal_form(_centrosymmetric(random_symmetric(np.random.default_rng(0), n)))
+        assert form.split
+        assert form_doubles(form) <= n * n // 4 + FORM_EXTRA_PER_ROW * n
 
 
 class TestLowrankUpdateNorm:
@@ -442,6 +474,34 @@ def test_lowrank_update_norm_matches_dense(n, cluster, gap, top, r, kind, seed):
     assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
 
 
+@given(
+    n=st.integers(9, 120),
+    cluster=st.integers(2, 8),
+    gap=st.floats(1e-9, 1e-2),
+    top=st.sampled_from((-3.0, 1.0, 40.0)),
+    r=st.integers(1, 16),
+    kind=st.sampled_from(("sample", "indefinite", "psd", "singular")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowrank_update_norm_matches_dense_on_a_split_form(n, cluster, gap, top, r, kind, seed):
+    # The planted top's members lie in both blocks of the split form.
+    rng = np.random.default_rng(seed)
+    A = _planted_top(rng, n, top, cluster, gap, False, mirrored=True)
+    form = tridiagonal_form(A)
+    assert form.split
+    rows = rng.choice(n, min(r, n), replace=False)
+    r = rows.size
+    if kind == "sample":
+        B = _sample_block(rng, A, rows, noise=0.3 * abs(top))
+    elif kind == "indefinite":
+        B = abs(top) * random_symmetric(rng, r)
+    else:
+        u = rng.standard_normal((r, r if kind == "psd" else max(r // 2, 1)))
+        B = abs(top) * (u @ u.T) / r
+    got = lowrank_update_norm(form, rows, B)
+    assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
+
+
 @functools.cache
 def _gate_form():
     return tridiagonal_form(random_psd(np.random.default_rng(9), 120))
@@ -490,6 +550,29 @@ def test_matrix_gate_folds_last_bit_asymmetry(entry):
     assert np.array_equal(call(A), call(folded))
     if entry == "tridiagonal_form":
         assert np.max(np.abs(call(A) - np.linalg.eigvalsh(folded))) <= 1e-13 * n
+
+
+@pytest.mark.parametrize("n", [50, 51])
+def test_centrosymmetry_gate_folds_last_bit_asymmetry(n):
+    # The split takes the gate and bound of the symmetry check: a last-bit
+    # centro-asymmetry is folded in, a larger one keeps the one-block form.
+    A = _centrosymmetric(random_psd(np.random.default_rng(n), n, jitter=0.3))
+    m = n // 2
+    A[:m, :m] = np.nextafter(A[:m, :m], np.inf)  # still exactly symmetric
+    folded = _centrosymmetric(A)
+    form = tridiagonal_form(A)
+    assert form.split
+    assert np.array_equal(form.spectrum, tridiagonal_form(folded).spectrum)
+    assert np.max(np.abs(form.spectrum - np.linalg.eigvalsh(folded))) <= 1e-13 * n
+    A = _centrosymmetric(random_psd(np.random.default_rng(n), n, jitter=0.3))
+    A[1, 2] = A[2, 1] = A[1, 2] + 1e-9 * np.max(np.abs(A))
+    form = tridiagonal_form(A)
+    assert not form.split and form.e[n - m - 1] != 0.0
+    assert np.max(np.abs(form.spectrum - np.linalg.eigvalsh(A))) <= 1e-13 * n
+    rows = np.array([1, 7, n - 3])
+    B = _sample_block(np.random.default_rng(0), A, rows)
+    got = lowrank_update_norm(form, rows, B)
+    assert got == pytest.approx(_dense_update_norm(A, rows, B), rel=1e-13)
 
 
 class TestOperatorQuantities:

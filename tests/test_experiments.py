@@ -19,6 +19,9 @@ from covlab import (
     SummaryRow,
     TrialRecord,
     UsageError,
+    build_grid,
+    cholesky_psd,
+    discretize,
     emit_csv,
     load_summaries,
     load_trials,
@@ -331,6 +334,24 @@ class TestTridiagonalFormCells:
             dense = _dense_norm(mats["threshold"].entries - truth) / _dense_norm(truth)
             assert rec.err_thresh == pytest.approx(dense, rel=1e-13)
         assert len(ranks) == 3 and all(0 < r <= expmod.LOWRANK_MAX_RANK for r in ranks)
+
+    @pytest.mark.parametrize("kernel", ["se", "permuted"])
+    def test_the_fold_reaches_only_the_form(self, kernel, monkeypatch):
+        # The split form reduces the truth's centrosymmetric fold; the truth,
+        # its factor and so the paths and rho_hat keep their own bits.
+        cfg = _cfg(kernels=(KernelTemplate(kernel),), lambda_grid=(_FORM_LAM,), L=_FORM_L)
+        prep = build_prep(cfg.kernels[0], _FORM_LAM, cfg.L, 1, n_for_lambda(cfg, _FORM_LAM),
+                          cfg.norm_tol)
+        assert prep.form.split
+        spec = kernel_for(kernel, _FORM_LAM, KernelTemplate.smoothness, KernelTemplate.period)
+        C = discretize(spec, build_grid(1, cfg.L))
+        assert np.array_equal(prep.C.entries, C.entries)
+        assert np.array_equal(prep.factor.lower, cholesky_psd(C).lower)
+        split = run_sweep(cfg).records
+        monkeypatch.setattr(expmod, "LOWRANK_MAX_RANK", 0)  # threshold errors skip the form
+        dense = run_sweep(cfg).records
+        assert [(r.rho_hat, r.kappa, r.seed) for r in split] == [
+            (r.rho_hat, r.kappa, r.seed) for r in dense]
 
     def test_rank_above_the_cap_takes_the_spectral_norm(self, monkeypatch):
         cfg = _cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L, trials=2)
