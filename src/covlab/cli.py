@@ -44,7 +44,6 @@ from .minimax import (
     BandedFamilySpec,
     SparseFamilySpec,
     assouad_terms,
-    build_f1_banded,
     certify_banded_membership,
     certify_sparse_membership,
     flip_bit,
@@ -61,39 +60,32 @@ __all__ = ["main"]
 _DIAG_KERNELS = KERNEL_NAMES + ("pwc",)
 _PWC_CELLS = 10  # the pwc diagnostic uses a fixed identity lift of this size
 
-# Flat config registry: key -> (type tag, default).  None means "required";
+
+def _strings(raw: str) -> tuple:
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in _strings(raw))
+
+
+# Flat config registry: key -> (parser, default).  None means "required";
 # every other default is the one of the dataclass field the key sets.  Each
 # sweep.* key sets the ExperimentConfig field of the same name.
 _CONFIG_KEYS = {
-    "kernel.list": ("strlist", None),
-    "kernel.nu_list": ("strlist", ()),
-    "kernel.matern_smoothness": ("float", KernelTemplate.smoothness),
-    "kernel.periodic_period": ("float", KernelTemplate.period),
-    "sweep.lambda_grid": ("floatlist", None),
-    "sweep.trials": ("int", ExperimentConfig.trials),
-    "sweep.L": ("int", ExperimentConfig.L),
-    "sweep.d": ("int", ExperimentConfig.d),
-    "sweep.n_mult": ("float", ExperimentConfig.n_mult),
-    "sweep.base_seed": ("int", ExperimentConfig.base_seed),
-    "sweep.norm_tol": ("float", ExperimentConfig.norm_tol),
-    "estimator.c0": ("float", ExperimentConfig.c0),
+    "kernel.list": (_strings, None),
+    "kernel.nu_list": (_strings, ()),
+    "kernel.matern_smoothness": (float, KernelTemplate.smoothness),
+    "kernel.periodic_period": (float, KernelTemplate.period),
+    "sweep.lambda_grid": (_floats, None),
+    "sweep.trials": (int, ExperimentConfig.trials),
+    "sweep.L": (int, ExperimentConfig.L),
+    "sweep.d": (int, ExperimentConfig.d),
+    "sweep.n_mult": (float, ExperimentConfig.n_mult),
+    "sweep.base_seed": (int, ExperimentConfig.base_seed),
+    "sweep.norm_tol": (float, ExperimentConfig.norm_tol),
+    "estimator.c0": (float, ExperimentConfig.c0),
 }
-
-
-def _convert(key: str, raw: str):
-    tag, _ = _CONFIG_KEYS[key]
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "floatlist":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        if tag == "strlist":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        return raw
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: cannot parse {raw!r} ({exc})") from None
 
 
 def parse_config_file(path) -> dict:
@@ -114,7 +106,11 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[key] = _convert(key, raw)
+        parse, _ = _CONFIG_KEYS[key]
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: cannot parse {raw!r} ({exc})") from None
     return values
 
 
@@ -159,6 +155,12 @@ def _print_flags(args, seed: int) -> None:
 def cmd_diagnose(args) -> int:
     if args.mc_samples < 0 or args.mc_samples == 1:  # gamma2 needs two draws for its standard error
         raise UsageError(f"--mc-samples must be 0 (off) or >= 2, got {args.mc_samples}")
+    if args.q is not None and not 0.0 < args.q <= 1.0:  # gamma1 would refuse it after the truth
+        raise UsageError(f"--q must lie in (0, 1], got {args.q}")
+    tails = []
+    if args.N is not None:  # m_star refuses a bad N, before any output
+        nu = nu_for(args.kernel, args.nu, args.d, KernelTemplate.smoothness)
+        tails = [("m_star", m_star(nu, args.N, args.d)), ("eps_star", eps_star(nu, args.N, args.d))]
     seed = _resolve_seed(args.seed)
     _print_flags(args, seed)
     grid = build_grid(args.d, args.L)
@@ -176,11 +178,7 @@ def cmd_diagnose(args) -> int:
     if args.mc_samples > 0:
         g2, g2_se = gamma2(cholesky_psd(C), args.mc_samples, seed)
         report += [("gamma2", g2), ("gamma2_se", g2_se)]
-    if args.N is not None:
-        nu = nu_for(args.kernel, args.nu, args.d, KernelTemplate.smoothness)
-        report += [("m_star", m_star(nu, args.N, args.d)),
-                   ("eps_star", eps_star(nu, args.N, args.d))]
-    _print_pairs(report)
+    _print_pairs(report + tails)
     return 0
 
 
@@ -290,11 +288,11 @@ def cmd_sweep(args) -> int:
 # ------------------------------------------------------ minimax check ----
 
 _MINIMAX_DEFAULTS = {
-    # family: (r, N, tau)
-    "f1": (256, 200, 0.003),
-    "f2": (256, 200, 0.003),
-    "f3": (16, 100000, 0.003),
-    "sparse": (63, 7, None),
+    # family: (r, N)
+    "f1": (256, 200),
+    "f2": (256, 200),
+    "f3": (16, 100000),
+    "sparse": (63, 7),
 }
 _SPARSE_DEFAULTS = {"q": 0.5, "gamma1_q": 3.0, "nu_const": 0.02}
 
@@ -328,14 +326,14 @@ def _pair_seed(seed: int, index: int) -> int:
 
 def cmd_minimax_check(args) -> int:
     family = args.family
-    def_r, def_n, def_tau = _MINIMAX_DEFAULTS[family]
+    def_r, def_n = _MINIMAX_DEFAULTS[family]
     r = args.r if args.r is not None else def_r
     N = args.N if args.N is not None else def_n
     if family == "sparse" and args.tau is not None:
         raise UsageError("--tau applies to the banded families, not sparse")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    tau = args.tau if args.tau is not None else def_tau
+    tau = args.tau if args.tau is not None else BandedFamilySpec.tau
     seed = _resolve_seed(args.seed)
     resolved = [
         ("minimax.class", family), ("minimax.r", r), ("minimax.N", N),
@@ -347,11 +345,13 @@ def cmd_minimax_check(args) -> int:
 
     if family == "f1":
         spec = BandedFamilySpec(kind="f1", r=r, N=N, tau=tau)
-        members = build_f1_banded(spec)
-        separation = spec.w * math.sqrt(tau * math.log(r) / N)
-        _print_pairs([("family", "f1"), ("members", len(members)), ("separation", separation),
-                      ("psd.pass", True), ("separation_exact.pass", True)])
-        return 0
+        w, delta = spec.w, spec.separation
+        # The family's checks in O(1): each member is w*I with one entry w - delta.
+        psd = delta < w
+        exact = math.isclose(w - (w - delta), delta, rel_tol=1e-12)
+        _print_pairs([("family", "f1"), ("members", r + 1), ("separation", delta),
+                      ("psd.pass", psd), ("separation_exact.pass", exact)])
+        return 0 if psd and exact else 1
 
     if family in ("f2", "f3"):
         spec = BandedFamilySpec(kind=family, r=r, N=N, tau=tau, nu=_minimax_nu())

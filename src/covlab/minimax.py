@@ -165,6 +165,13 @@ class BandedFamilySpec:
         object.__setattr__(self, "h_N", h_N)
 
     @property
+    def separation(self) -> float:
+        """delta = w sqrt(tau log r / N) < w/4, each f1 member's distance from w*I."""
+        if self.kind != "f1":
+            raise UsageError("the linked families have no diagonal separation")
+        return self.w * math.sqrt(self.tau * math.log(self.r) / self.N)
+
+    @property
     def amplitude(self) -> float:
         """Off-diagonal entry value of a perturbed cell pair."""
         if self.kind == "f2":
@@ -215,24 +222,13 @@ class ThetaIndex:
 
 
 def build_f1_banded(spec: BandedFamilySpec) -> list:
-    """All r+1 members of the diagonal family: w*I with one shrunk entry."""
-    if spec.kind != "f1":
-        raise UsageError(f"spec is for kind {spec.kind!r}, expected f1")
-    delta = spec.w * math.sqrt(spec.tau * math.log(spec.r) / spec.N)
-    if delta >= spec.w:
-        raise NumericError(
-            f"diagonal perturbation {delta:.3e} destroys positive semidefiniteness"
-        )
+    """The r+1 diagonal-family members: w*I, then w*I less delta at each (ell, ell)."""
+    delta = spec.separation  # refuses a linked spec
     members = [spec.w * np.eye(spec.r)]
     for ell in range(spec.r):
         m = spec.w * np.eye(spec.r)
         m[ell, ell] -= delta
         members.append(m)
-    # Construction self-check: the pairwise separation is exactly delta.
-    for m in members[1:]:
-        sep = float(np.max(np.abs(members[0] - m)))
-        if not math.isclose(sep, delta, rel_tol=1e-12):
-            raise NumericError("diagonal family separation check failed")
     return members
 
 
@@ -600,9 +596,7 @@ def assouad_terms(spec, pairs: Sequence) -> AssouadReport:
     """
     if not pairs:
         raise UsageError("need at least one theta pair")
-    banded = isinstance(spec, BandedFamilySpec)
-    if banded and spec.kind == "f1":
-        raise UsageError("Assouad bookkeeping applies to the hypercube families")
+    banded = isinstance(spec, BandedFamilySpec)  # build_linked_banded refuses f1
     alpha_min = math.inf
     worst_kl = 0.0
     worst_frob2 = 0.0

@@ -34,6 +34,7 @@ from covlab import (
 )
 from covlab.cli import build_parser, main, parse_config_file
 from covlab.experiments import TRIAL_HEADER, format_value
+from helpers import traced_peak_bytes
 
 
 def _run(capsys, argv):
@@ -151,6 +152,18 @@ class TestDiagnose:
         assert out == ""
         code, out, _ = _run(capsys, argv + ["--mc-samples", "0"])  # 0 still means off
         assert code == 0 and "gamma2=" not in out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--q", "0", "--q must lie in (0, 1], got 0.0"),
+        ("--q", "1.5", "--q must lie in (0, 1], got 1.5"),
+        ("--q", "nan", "--q must lie in (0, 1], got nan"),
+        ("--N", "0", "sample count must be >= 1, got N=0"),
+        ("--N", "-3", "sample count must be >= 1, got N=-3"),
+    ], ids=["q0", "q1.5", "qnan", "N0", "N-3"])
+    def test_bad_q_or_N_exits_2_before_any_output(self, capsys, flag, value, message):
+        code, out, err = _run(capsys, ["diagnose", "--kernel", "se", "--lambda", "0.1",
+                                       "--L", "16", flag, value])
+        assert (code, out, err) == (2, "", f"covlab: error: {message}\n")
 
     def test_bad_kernel_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -607,6 +620,20 @@ class TestOutputContract:
         assert report["tail_bound_m1.pass"] == "false"
         assert float(report["tail_bound_m1.worst_slack"]) < 0.0
 
+    def test_f1_separation_below_member_precision_prints_false_and_exits_1(self, capsys):
+        # At tau=1e-8 the member entry w - delta cannot carry delta (5.3e-6)
+        # to 12 digits; at tau=1e-6 it can.
+        argv = ["minimax-check", "--class", "f1", "--r", "16", "--N", "1000", "--tau"]
+        code, out, err = _run(capsys, argv + ["1e-8"])
+        assert code == 1 and "numeric failure" not in err
+        report = _report(out, "minimax.")
+        assert [key for key, _ in report] == _minimax_keys("f1", 16, 1000)
+        assert dict(report)["separation_exact.pass"] == "false"
+        assert dict(report)["psd.pass"] == "true"
+        code, out, _ = _run(capsys, argv + ["1e-6"])
+        assert code == 0
+        assert {text for key, text in _report(out, "minimax.") if key.endswith(".pass")} == {"true"}
+
 
 class TestMemory:
     def test_grid_beyond_physical_memory_exits_2(self, capsys):
@@ -626,6 +653,12 @@ class TestMemory:
         code, _, err = _run(capsys, ["diagnose", "--kernel", "se", "--lambda", "0.1", "--L", "16"])
         assert code == 1
         assert err == "covlab: out of memory\n"
+
+    def test_f1_report_builds_no_member(self, capsys):
+        # One 256 x 256 member is 512 kB; building all 257 took 135.9 MB.
+        peak = traced_peak_bytes(lambda: main(["minimax-check", "--class", "f1"]))
+        assert "members=257" in capsys.readouterr().out
+        assert peak < 1 << 20
 
 
 class TestParser:

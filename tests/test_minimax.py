@@ -74,6 +74,22 @@ class TestDiagonalFamily:
         with pytest.raises(UsageError):
             BandedFamilySpec(kind="f1", r=256, N=5)
 
+    @pytest.mark.parametrize("w, tau", [(1.0, 0.01), (2.0, 0.003), (0.5, 1e-6)])
+    def test_separation_is_the_distance_between_members(self, w, tau):
+        spec = BandedFamilySpec(kind="f1", r=16, N=100, w=w, tau=tau)
+        members = build_f1_banded(spec)
+        assert np.linalg.norm(members[0] - members[1], 2) == pytest.approx(
+            spec.separation, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("kind", ["f2", "f3"])
+    def test_linked_families_have_no_separation(self, kind):
+        spec = _f2_spec() if kind == "f2" else _f3_spec()
+        with pytest.raises(UsageError):
+            spec.separation
+        with pytest.raises(UsageError):
+            build_f1_banded(spec)
+
 
 class TestLinkedBandedFamilies:
     def test_f2_zero_theta_is_identity(self):
@@ -369,6 +385,12 @@ class TestAssouadTerms:
             pytest.skip("sampled row patterns coincide")
         with pytest.raises(UsageError):
             assouad_terms(spec, [(a, b)])
+
+    def test_f1_spec_rejected(self):
+        spec = BandedFamilySpec(kind="f1", r=16, N=100)
+        theta = ThetaIndex(bits=(0,))
+        with pytest.raises(UsageError):
+            assouad_terms(spec, [(theta, flip_bit(theta, 0))])
 
     def test_identical_thetas_rejected(self):
         spec = _f2_spec()
