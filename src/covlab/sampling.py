@@ -1,13 +1,18 @@
 """Cholesky factorization with a jitter ladder and seeded Gaussian paths.
 
-Sampling follows a strict substream contract: path n is generated from a
-counter-based generator keyed by (seed, n), so a path's bytes depend only on
-the seed and its own index.  Drawing N+1 paths extends a draw of N, and any
-parallel schedule produces identical output.
+Sampling follows a strict substream contract: path i is lower @ z_i, where
+z_i holds the standard normals of a Philox generator keyed by
+SeedSequence((seed, i)), so a path's normals depend only on the seed and
+its own index.  ``draw_paths`` derives all N keys in one vectorized pass
+and multiplies the normals by lower^T in zero-padded blocks of a fixed
+32 rows.  Path i always sits in row i mod 32 of block i // 32 of a product
+of the same shape, so drawing N+1 paths extends a draw of N bit for bit,
+and any parallel schedule produces identical output.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,16 @@ __all__ = ["CholFactor", "SampleSet", "cholesky_psd", "draw_paths", "sample_cov"
 
 # Largest diagonal shift cholesky_psd tries, relative to tr(C)/n.
 _JITTER_BUDGET = 1e-6
+
+# Rows per product with lower^T; fixed, so no path's bits depend on N.
+_BLOCK = 32
+
+# numpy's SeedSequence mixing constants (pool of four 32-bit words).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +97,88 @@ def cholesky_psd(C: CovMatrix) -> CholFactor:
             jitter = next_jitter
 
 
+def _hash_constants(h: int, mult: int):
+    """numpy's chain of SeedSequence hash constants: pairs (h_k, h_k * mult mod 2^32)."""
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mul = next(constants)
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _substream_keys(seed: int, N: int) -> np.ndarray:
+    """(N, 2) uint64 Philox keys: row i is SeedSequence((seed, i)).generate_state(2, np.uint64).
+
+    numpy's SeedSequence mixing (pool of four 32-bit words) run on whole
+    columns of uint32 words.  The entropy is seed's 32-bit words, least
+    significant first, then i's one word, zero-padded to the pool size; the
+    hash constants do not depend on the words, so each step is one array
+    operation over all N paths.
+    """
+    seed = operator.index(seed)
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), N), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(N, dtype=np.uint32)
+
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(word, consts) for word in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # two words per key, low first
+
+
 def draw_paths(factor: CholFactor, N: int, seed: int) -> SampleSet:
-    """Draw N paths u_n = lower @ z_n with z_n from substream (seed, n)."""
+    """Draw N paths u_i = lower @ z_i with z_i from substream (seed, i).
+
+    One Philox generator, rekeyed before each path with a zero counter and
+    an empty buffer, gives path i the normals of a fresh
+    Generator(Philox(SeedSequence((seed, i)))) bit for bit.  Each block of
+    _BLOCK paths' normals, zero past N, is one BLAS product with lower^T.
+    The fixed block shape keeps a draw of N+1 an extension of a draw of N;
+    one product over all N rows can round a row differently as N changes.
+    Returns a fresh, read-only (N, n) array of paths.
+    """
     if N < 1:
         raise UsageError(f"need at least one path, got N={N}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
     n = factor.n
+    keys = _substream_keys(seed, N)
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh generator's: zero counter, empty buffer
+    lower_t = factor.lower.T
+    Z = np.zeros((_BLOCK, n), dtype=np.float64)
+    U = np.empty((_BLOCK, n), dtype=np.float64)
     paths = np.empty((N, n), dtype=np.float64)
-    for i in range(N):
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        paths[i] = factor.lower @ gen.standard_normal(n)
+    for start in range(0, N, _BLOCK):
+        rows = min(_BLOCK, N - start)
+        for r in range(rows):
+            state["state"]["key"] = keys[start + r]
+            bitgen.state = state
+            gen.standard_normal(out=Z[r])
+        Z[rows:] = 0.0
+        np.matmul(Z, lower_t, out=U)
+        paths[start:start + rows] = U[:rows]
     paths.setflags(write=False)
     return SampleSet(paths=paths, grid_h=factor.grid_h)
 

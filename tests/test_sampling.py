@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from covlab import (
     CovMatrix,
@@ -15,11 +16,26 @@ from covlab import (
     sample_cov,
     SquaredExponential,
 )
+from covlab.sampling import CholFactor, _substream_keys
 from helpers import random_psd
 
 
 def _wrap(entries: np.ndarray, grid_h: float = 0.1) -> CovMatrix:
     return CovMatrix(entries=entries, grid_h=grid_h)
+
+
+def _substream(seed: int, i: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
+
+
+def _identity(n: int) -> CholFactor:
+    return CholFactor(lower=np.eye(n), jitter_used=0.0, grid_h=1.0 / n)
+
+
+_KEY_SEEDS = [
+    0, 1, 5, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1,
+    12345678901234567890, 3**40, 2**64 + 5, 2**96,
+]
 
 
 class TestCholeskyPsd:
@@ -90,6 +106,59 @@ class TestDrawPaths:
         fac = cholesky_psd(_wrap(random_psd(rng, 4, jitter=0.2)))
         with pytest.raises(UsageError):
             draw_paths(fac, 0, 1)
+
+    def test_rejects_negative_seed(self):
+        rng = np.random.default_rng(9)
+        fac = cholesky_psd(_wrap(random_psd(rng, 4, jitter=0.2)))
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            draw_paths(fac, 3, -1)
+
+    @pytest.mark.parametrize("seed", _KEY_SEEDS)
+    def test_keys_are_the_seed_sequence_states(self, seed):
+        want = np.array(
+            [np.random.SeedSequence((seed, i)).generate_state(2, np.uint64) for i in range(300)]
+        )
+        got = _substream_keys(seed, 300)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [1, 31, 32, 33, 65])
+    def test_identity_factor_returns_the_substream_normals(self, N):
+        want = np.array([_substream(2024, i).standard_normal(6) for i in range(N)])
+        got = draw_paths(_identity(6), N, 2024).paths
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [1, 31, 32, 33, 64])
+    def test_rows_are_prefix_stable_across_blocks(self, N):
+        # At n=100 one product over all N rows rounds rows differently for
+        # every N here; at n=40 only N=1 showed it.
+        rng = np.random.default_rng(11)
+        fac = cholesky_psd(_wrap(random_psd(rng, 100, jitter=0.2)))
+        big = draw_paths(fac, 70, 31)
+        np.testing.assert_array_equal(draw_paths(fac, N, 31).paths, big.paths[:N])
+
+    def test_blocked_product_matches_per_path_product(self):
+        rng = np.random.default_rng(12)
+        fac = cholesky_psd(_wrap(random_psd(rng, 300, jitter=0.2)))
+        got = draw_paths(fac, 40, 77).paths
+        for i, row in enumerate(got):
+            want = fac.lower @ _substream(77, i).standard_normal(300)
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_paths_are_a_fresh_read_only_array(self):
+        # Rows sliced from the padded block buffer would keep it alive.
+        rng = np.random.default_rng(13)
+        fac = cholesky_psd(_wrap(random_psd(rng, 10, jitter=0.2)))
+        paths = draw_paths(fac, 33, 5).paths
+        assert paths.shape == (33, 10)
+        assert paths.flags.c_contiguous
+        assert paths.base is None
+        assert not paths.flags.writeable
+
+    @given(seed=st.integers(0, 2**96 - 1), N=st.integers(1, 80))
+    def test_identity_draws_equal_per_path_generators(self, seed, N):
+        want = np.array([_substream(seed, i).standard_normal(3) for i in range(N)])
+        np.testing.assert_array_equal(draw_paths(_identity(3), N, seed).paths, want)
 
 
 class TestSampleCov:
