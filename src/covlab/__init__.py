@@ -25,7 +25,7 @@ from .grid_kernel import (
     taper_weight_matrix,
     taper_weight_sumform,
 )
-from .sampling import CholFactor, SampleSet, cholesky_psd, draw_paths, sample_cov
+from .sampling import CholFactor, cholesky_psd, draw_paths, sample_cov
 from .diagnostics import (
     NuSequence,
     OperatorQuantities,

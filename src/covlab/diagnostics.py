@@ -3,8 +3,10 @@ banding tail sequences, the truncation pair, and the Gaussian KL
 divergence.
 
 All operator-level quantities are grid-weighted matrix quantities: with
-h = L^-d, the operator norm is h times the matrix spectral norm and the
-operator trace is h times the matrix trace.
+the quadrature weight h = L^-d = 1/n of an n-point grid (``CovMatrix.h``),
+the operator norm is h times the matrix spectral norm and the operator
+trace is h times the matrix trace.  Ratios of the two, such as r_eff and
+Gamma_1, do not depend on h.
 """
 
 from __future__ import annotations
@@ -429,8 +431,8 @@ def operator_quantities(C: CovMatrix, *, tol: float = 1e-9) -> OperatorQuantitie
     if norm_m == 0.0:
         raise UsageError("zero operator has no effective dimension")
     return OperatorQuantities(
-        trace_op=C.grid_h * trace_m,
-        op_norm=C.grid_h * norm_m,
+        trace_op=C.h * trace_m,
+        op_norm=C.h * norm_m,
         r_eff=trace_m / norm_m,  # the grid weight cancels exactly
         form=form,
     )
@@ -449,10 +451,10 @@ def gamma1(C: CovMatrix, q: float, *, op_norm: Optional[float] = None) -> float:
     abs_e = np.abs(C.entries)
     k_inf = float(np.max(abs_e))
     if op_norm is None:
-        op_norm = C.grid_h * spectral_norm(C.entries)
+        op_norm = C.h * spectral_norm(C.entries)
     if op_norm == 0.0:
         raise UsageError("zero operator has no sparsity functional")
-    row_q = float(np.max(np.sum(abs_e**q, axis=1))) * C.grid_h
+    row_q = float(np.max(np.sum(abs_e**q, axis=1))) * C.h
     return row_q * k_inf ** (1.0 - q) / op_norm
 
 
@@ -468,8 +470,7 @@ def gamma2(factor: CholFactor, M_mc: int, seed: int) -> tuple[float, float]:
     k_inf = float(np.max(diag))
     if k_inf <= 0.0:
         raise UsageError("factored matrix has zero diagonal; capacity undefined")
-    draws = draw_paths(factor, M_mc, seed)
-    maxima = draws.paths.max(axis=1)
+    maxima = draw_paths(factor, M_mc, seed).max(axis=1)
     root = math.sqrt(k_inf)
     est = float(np.mean(maxima)) / root
     se = float(np.std(maxima, ddof=1)) / math.sqrt(M_mc) / root

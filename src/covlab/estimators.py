@@ -14,7 +14,6 @@ import numpy as np
 from .errors import UsageError
 from .diagnostics import NuSequence, m_star
 from .grid_kernel import CovMatrix, Grid, taper_weight_matrix
-from .sampling import SampleSet
 
 __all__ = [
     "taper_estimate",
@@ -34,7 +33,7 @@ def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
         raise UsageError(f"matrix size {Chat.n} does not match grid size {grid.n}")
     weights = taper_weight_matrix(kappa, grid)
     weights *= Chat.entries
-    return CovMatrix._derived(weights, Chat.grid_h)  # the ramp is symmetric, in [0, 1]
+    return CovMatrix._derived(weights)  # the ramp is symmetric, in [0, 1]
 
 
 def threshold_estimate(Chat: CovMatrix, rho: float) -> CovMatrix:
@@ -44,7 +43,7 @@ def threshold_estimate(Chat: CovMatrix, rho: float) -> CovMatrix:
     kept = np.abs(Chat.entries)
     np.greater_equal(kept, rho, out=kept)
     kept *= Chat.entries  # entry * (|entry| >= rho): a dropped negative entry is -0.0
-    return CovMatrix._derived(kept, Chat.grid_h)
+    return CovMatrix._derived(kept)
 
 
 def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:
@@ -58,20 +57,22 @@ def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:
     return m_star(nu, N, d) * scale
 
 
-def adaptive_threshold(S: SampleSet, c0: float, k_inf: float) -> float:
-    """Data-driven threshold level from the empirical path suprema.
+def adaptive_threshold(paths: np.ndarray, c0: float, k_inf: float) -> float:
+    """Data-driven threshold level from the empirical suprema of the (N, n) paths.
 
-    rho_hat = c0 * sqrt(k_inf / N) * mean over samples of the signed maximum
-    grid value of each path, where k_inf is the sup-kernel value (a trial
-    passes the largest sample variance).  Theory wants c0 <= sqrt(N), which
-    is not enforced here: tiny-N calls are still well defined, they just
-    threshold aggressively.  The result can be negative for pathological
+    rho_hat = c0 * sqrt(k_inf / N) * mean over the N rows of the signed
+    maximum grid value of each path, where k_inf is the sup-kernel value (a
+    trial passes the largest sample variance).  Theory wants c0 <= sqrt(N),
+    which is not enforced here: tiny-N calls are still well defined, they
+    just threshold aggressively.  The result can be negative for pathological
     draws (every path entirely below zero); callers that feed it to
     threshold_estimate will then see the level rejected.
     """
+    if paths.ndim != 2 or 0 in paths.shape:
+        raise UsageError(f"paths must be a non-empty (N, n) array, got shape {paths.shape}")
     if not c0 > 0:
         raise UsageError(f"c0 must be > 0, got {c0}")
     if k_inf < 0:
         raise UsageError(f"sup-kernel value must be >= 0, got {k_inf}")
-    maxima = S.paths.max(axis=1)
-    return c0 * math.sqrt(k_inf) / math.sqrt(S.N) * float(np.mean(maxima))
+    maxima = paths.max(axis=1)
+    return c0 * math.sqrt(k_inf) / math.sqrt(paths.shape[0]) * float(np.mean(maxima))

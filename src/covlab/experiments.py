@@ -41,7 +41,7 @@ from .grid_kernel import (
     discretize,
     shuffle_cov,
 )
-from .sampling import SampleSet, cholesky_psd, draw_paths, sample_cov
+from .sampling import cholesky_psd, draw_paths, sample_cov
 
 __all__ = [
     "KernelTemplate",
@@ -304,7 +304,7 @@ def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
     return Prep(
         kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,
-        norm=quant.op_norm / C.grid_h, kappa=kappa, N=N, tol=tol,
+        norm=quant.op_norm / C.h, kappa=kappa, N=N, tol=tol,
         form=quant.form,
     )
 
@@ -331,16 +331,16 @@ def simulate_trial(
         base = draw_paths(prep.factor, prep.N, draw_seed)
     if prep.kernel == "permuted":
         truth, perm = shuffle_cov(prep.C, shuffle_seed)
-        S = SampleSet(paths=base.paths[:, perm], grid_h=prep.grid.h)
+        paths = base[:, perm]
     else:
-        truth, S, perm = prep.C, base, None
+        truth, paths, perm = prep.C, base, None
 
     with _BLAS_TURN:
-        Chat = sample_cov(S)
+        Chat = sample_cov(paths)
     matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
 
     def error(est: CovMatrix) -> float:  # |est - truth|; a difference of CovMatrix needs no check
-        diff = CovMatrix._derived(est.entries - truth.entries, truth.grid_h)
+        diff = CovMatrix._derived(est.entries - truth.entries)
         with _BLAS_TURN:
             return spectral_norm(diff, tol=prep.tol)
 
@@ -355,7 +355,7 @@ def simulate_trial(
     if "threshold" in estimators:
         # The plugin sup-kernel value is the largest sample variance, read
         # off the Gram built above instead of a second one.
-        rho_hat = adaptive_threshold(S, c0, float(np.max(np.diag(Chat.entries))))
+        rho_hat = adaptive_threshold(paths, c0, float(np.max(np.diag(Chat.entries))))
         # The signed-sup mean can go negative at tiny N; keep-if |entry| >=
         # level then keeps every entry, so the estimate coincides with level
         # zero.  The record still carries the raw level.

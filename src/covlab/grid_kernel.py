@@ -1,10 +1,12 @@
 """Grids on [0,1]^d, covariance kernels, tapering weights, and lifts.
 
 The continuous object is a covariance kernel k on [0,1]^d x [0,1]^d.  All
-estimation happens on the endpoint-aligned uniform grid x_i = i/(L-1); the
-discretized operator is the matrix C[i, j] = k(x_i, x_j) together with the
-quadrature weight h = L^{-d} that converts matrix quantities to operator
-quantities (operator norm = h * matrix norm, operator trace = h * trace).
+estimation happens on the endpoint-aligned uniform grid x_i = i/(L-1) of
+n = L^d points; the discretized operator is the matrix C[i, j] = k(x_i, x_j)
+times the quadrature weight h = L^-d = 1/n, which converts matrix quantities
+to operator quantities (operator norm = h * matrix norm, operator trace =
+h * trace).  The weight depends on the matrix size alone; ``CovMatrix.h``
+computes it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "shuffle_cov",
     "taper_weight",
     "taper_weight_sumform",
+    "taper_weight_matrix",
     "lift_matrix_norm_check",
 ]
 
@@ -55,11 +58,6 @@ class Grid:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def h(self) -> float:
-        """Quadrature weight L^-d; h * n = 1 exactly in exact arithmetic."""
-        return float(self.L) ** (-self.d)
 
 
 def build_grid(d: int, L: int) -> Grid:
@@ -168,10 +166,10 @@ class PiecewiseConstant:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = CovMatrix(np.asarray(self.values, float), 1.0).entries  # square, finite, symmetric
+        v = CovMatrix(np.asarray(self.values, float)).entries  # non-empty, square, finite, symmetric
         eigs = np.linalg.eigvalsh(v)
-        scale = float(np.max(np.abs(eigs))) if v.size else 0.0
-        if eigs.size and eigs[0] < -1e-10 * scale:
+        scale = float(np.max(np.abs(eigs)))
+        if eigs[0] < -1e-10 * scale:
             raise UsageError(
                 f"lift matrix is not PSD: min eigenvalue {eigs[0]:.3e} "
                 f"below -1e-10 * norm {scale:.3e}"
@@ -222,32 +220,37 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Symmetric matrix of kernel values at grid points plus the grid weight."""
+    """Non-empty, finite, exactly symmetric n x n matrix of kernel values at
+    the n grid points; its operator carries the quadrature weight ``h``."""
 
     entries: np.ndarray
-    grid_h: float
 
     def __post_init__(self) -> None:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise UsageError(f"covariance matrix must be square, got {e.shape}")
+        if e.shape[0] == 0:
+            raise UsageError("covariance matrix must have at least one grid point")
         if not np.all(np.isfinite(e)):
             raise UsageError("covariance matrix has non-finite entries")
         if not np.array_equal(e, e.T):
             raise UsageError("covariance matrix must be exactly symmetric")
-        if not self.grid_h > 0:
-            raise UsageError(f"grid weight must be > 0, got {self.grid_h}")
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def h(self) -> float:
+        """Quadrature weight 1/n = L^-d of the grid the entries live on."""
+        return 1.0 / self.n
+
     @classmethod
-    def _derived(cls, entries: np.ndarray, grid_h: float) -> "CovMatrix":
+    def _derived(cls, entries: np.ndarray) -> "CovMatrix":
         """A CovMatrix without the O(n^2) checks: only for entries derived from
         checked ones by an operation that keeps them finite and exactly symmetric."""
         C = object.__new__(cls)
-        C.__dict__.update(entries=entries, grid_h=grid_h)
+        C.__dict__.update(entries=entries)
         return C
 
 
@@ -268,7 +271,7 @@ def fisher_yates_permutation(n: int, seed: int) -> np.ndarray:
 def shuffle_cov(C: CovMatrix, seed: int) -> tuple[CovMatrix, np.ndarray]:
     """(C[perm, :][:, perm], perm) for the seeded Fisher-Yates permutation perm."""
     perm = fisher_yates_permutation(C.n, seed)
-    return CovMatrix._derived(C.entries.take(perm, 0).take(perm, 1), C.grid_h), perm
+    return CovMatrix._derived(C.entries.take(perm, 0).take(perm, 1)), perm
 
 
 def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
@@ -299,9 +302,8 @@ def discretize(spec: KernelSpec, grid: Grid) -> CovMatrix:
     """
     if isinstance(spec, PiecewiseConstant):
         cells = _pwc_cells_for_grid(spec.cells, grid.n)
-        return CovMatrix(entries=spec.values[np.ix_(cells, cells)], grid_h=grid.h)
-    entries = spec.of_sqdist(_pairwise_sqdist(grid.points))
-    return CovMatrix(entries=entries, grid_h=grid.h)
+        return CovMatrix(entries=spec.values[np.ix_(cells, cells)])
+    return CovMatrix(entries=spec.of_sqdist(_pairwise_sqdist(grid.points)))
 
 
 # ------------------------------------------------------------- tapering ----
@@ -369,7 +371,7 @@ def lift_matrix_norm_check(Sigma: np.ndarray, grid: Grid) -> tuple[float, float,
     spec = PiecewiseConstant(values=np.asarray(Sigma, dtype=np.float64))
     M = spec.cells
     lifted = discretize(spec, grid)
-    lift_norm = grid.h * float(np.max(np.abs(np.linalg.eigvalsh(lifted.entries))))
+    lift_norm = lifted.h * float(np.max(np.abs(np.linalg.eigvalsh(lifted.entries))))
     block_norm = float(np.max(np.abs(np.linalg.eigvalsh(spec.values)))) / M
     denom = max(abs(block_norm), np.finfo(np.float64).tiny)
     return lift_norm, block_norm, abs(lift_norm - block_norm) / denom

@@ -309,6 +309,11 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
 
 # ------------------------------------------------------- sparse family ----
 
+# The sparse family's constants M and beta, which bound its admissible
+# nu_const (M > 0, beta > 1).
+_M_CONST = 2.0
+_BETA = 2.0
+
 
 @dataclass(frozen=True)
 class SparseFamilySpec:
@@ -316,7 +321,7 @@ class SparseFamilySpec:
 
     The declared capacity gamma2 fixes the partition size r; eps and the
     row sparsity ell follow from the declared sparsity budget gamma1_q at
-    exponent q.  nu_const must be small against the declared (M, beta).
+    exponent q.  nu_const must be small against the constants (M, beta).
     """
 
     q: float
@@ -324,8 +329,6 @@ class SparseFamilySpec:
     gamma2: float
     nu_const: float
     N: int
-    M_const: float = 2.0
-    beta: float = 2.0
     r: int = field(init=False, default=0)
     r_star: int = field(init=False, default=0)
     eps: float = field(init=False, default=0.0)
@@ -340,17 +343,13 @@ class SparseFamilySpec:
             raise UsageError(f"gamma2 must be > 0, got {self.gamma2}")
         if self.N < 1:
             raise UsageError(f"need N >= 1, got {self.N}")
-        if not self.beta > 1.0:
-            raise UsageError(f"beta must be > 1, got {self.beta}")
-        if not self.M_const > 0:
-            raise UsageError(f"M must be > 0, got {self.M_const}")
-        nu_cap = (1.0 / (3.0 * self.M_const)) ** (1.0 / (1.0 - self.q))
+        nu_cap = (1.0 / (3.0 * _M_CONST)) ** (1.0 / (1.0 - self.q))
         if not (0.0 < self.nu_const < nu_cap):
             raise UsageError(
                 f"nu must lie in (0, (3M)^(-1/(1-q))) = (0, {nu_cap:.6g}), "
                 f"got {self.nu_const}"
             )
-        var_cap = (self.beta - 1.0) / (54.0 * self.beta)
+        var_cap = (_BETA - 1.0) / (54.0 * _BETA)
         if not self.nu_const**2 < var_cap:
             raise UsageError(
                 f"nu^2 must be < (beta-1)/(54 beta) = {var_cap:.6g}, "
@@ -472,7 +471,7 @@ def certify_sparse_membership(
     cap_bound = math.sqrt(2.0 * math.log(n))
     checks.append(_check("cap_vs_gamma2", cap_bound, spec.gamma2 * (1 + 1e-12), "le"))
     # The largest variance is Sigma[0, 0] = 1, so gamma2's scale is exactly 1.
-    est, se = gamma2(cholesky_psd(CovMatrix(Sigma, 1.0 / n)), mc_samples, seed)
+    est, se = gamma2(cholesky_psd(CovMatrix(Sigma)), mc_samples, seed)
     checks.append(_check("capacity_mc", est, cap_bound + 3.0 * se, "le"))
     # Its q=0 variant counts the support, with the 0^0 = 0 convention.
     g0 = float(np.max(np.sum(Sigma != 0.0, axis=1))) * k_inf / norm

@@ -7,7 +7,9 @@ its own index.  ``draw_paths`` derives all N keys in one vectorized pass
 and multiplies the normals by lower^T in zero-padded blocks of a fixed
 32 rows.  Path i always sits in row i mod 32 of block i // 32 of a product
 of the same shape, so drawing N+1 paths extends a draw of N bit for bit,
-and any parallel schedule produces identical output.
+and any parallel schedule produces identical output.  A draw is a plain
+(N, n) array, row i holding path i at the n grid points; ``sample_cov``
+and the estimators take that array as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .grid_kernel import CovMatrix
 
-__all__ = ["CholFactor", "SampleSet", "cholesky_psd", "draw_paths", "sample_cov"]
+__all__ = ["CholFactor", "cholesky_psd", "draw_paths", "sample_cov"]
 
 # Largest diagonal shift cholesky_psd tries, relative to tr(C)/n.
 _JITTER_BUDGET = 1e-6
@@ -42,23 +44,10 @@ class CholFactor:
 
     lower: np.ndarray
     jitter_used: float
-    grid_h: float
 
     @property
     def n(self) -> int:
         return self.lower.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """N Gaussian path evaluations on the grid."""
-
-    paths: np.ndarray  # (N, n)
-    grid_h: float
-
-    @property
-    def N(self) -> int:
-        return self.paths.shape[0]
 
 
 def _most_negative_pivot(matrix: np.ndarray) -> float:
@@ -84,7 +73,7 @@ def cholesky_psd(C: CovMatrix) -> CholFactor:
     while True:
         try:
             lower = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(n))
-            return CholFactor(lower=lower, jitter_used=jitter, grid_h=C.grid_h)
+            return CholFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
             next_jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
             if next_jitter > _JITTER_BUDGET * scale or next_jitter == 0.0:
@@ -146,7 +135,7 @@ def _substream_keys(seed: int, N: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)  # two words per key, low first
 
 
-def draw_paths(factor: CholFactor, N: int, seed: int) -> SampleSet:
+def draw_paths(factor: CholFactor, N: int, seed: int) -> np.ndarray:
     """Draw N paths u_i = lower @ z_i with z_i from substream (seed, i).
 
     One Philox generator, rekeyed before each path with a zero counter and
@@ -155,7 +144,7 @@ def draw_paths(factor: CholFactor, N: int, seed: int) -> SampleSet:
     _BLOCK paths' normals, zero past N, is one BLAS product with lower^T.
     The fixed block shape keeps a draw of N+1 an extension of a draw of N;
     one product over all N rows can round a row differently as N changes.
-    Returns a fresh, read-only (N, n) array of paths.
+    Returns a fresh, C-contiguous, read-only (N, n) array: row i is path i.
     """
     if N < 1:
         raise UsageError(f"need at least one path, got N={N}")
@@ -180,17 +169,17 @@ def draw_paths(factor: CholFactor, N: int, seed: int) -> SampleSet:
         np.matmul(Z, lower_t, out=U)
         paths[start:start + rows] = U[:rows]
     paths.setflags(write=False)
-    return SampleSet(paths=paths, grid_h=factor.grid_h)
+    return paths
 
 
-def sample_cov(S: SampleSet) -> CovMatrix:
-    """Uncentered sample covariance (1/N) sum_n u_n u_n^T.
+def sample_cov(paths: np.ndarray) -> CovMatrix:
+    """Uncentered sample covariance (1/N) sum_n u_n u_n^T of the (N, n) paths.
 
     The model is centered, so no mean is subtracted.  numpy computes the
     Gram product P^T P of one array with its own transpose on BLAS's syrk
     path, which fills one triangle and mirrors it, so the result is exactly
     symmetric without a pass of its own; CovMatrix would refuse it if not.
     """
-    G = S.paths.T @ S.paths
-    G /= S.N
-    return CovMatrix(entries=G, grid_h=S.grid_h)
+    G = paths.T @ paths
+    G /= paths.shape[0]
+    return CovMatrix(entries=G)

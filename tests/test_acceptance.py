@@ -23,7 +23,6 @@ from covlab import (
     NuSequence,
     Periodic,
     PiecewiseConstant,
-    SampleSet,
     SparseFamilySpec,
     SquaredExponential,
     assouad_terms,

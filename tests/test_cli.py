@@ -17,7 +17,6 @@ from covlab import (
     BandedFamilySpec,
     ExperimentConfig,
     KernelTemplate,
-    SampleSet,
     SquaredExponential,
     UsageError,
     build_grid,
@@ -293,9 +292,9 @@ class TestSweepCommand:
         real = covlab.experiments.draw_paths
 
         def with_nan(factor, N, seed):
-            paths = real(factor, N, seed).paths.copy()
+            paths = real(factor, N, seed).copy()
             paths[0, 3] = np.nan
-            return SampleSet(paths=paths, grid_h=factor.grid_h)
+            return paths
 
         monkeypatch.setattr(covlab.experiments, "draw_paths", with_nan)
         cfg = ExperimentConfig(kernels=(KernelTemplate("se"),), lambda_grid=(0.2,), L=32)

@@ -27,7 +27,7 @@ def _checked_on_grid(draw, count=1):
     mats = []
     for _ in range(count):
         raw = draw(arrays(np.float64, (n, n), elements=_ENTRY))
-        mats.append(CovMatrix(entries=np.where(lower, raw, raw.T), grid_h=grid.h))
+        mats.append(CovMatrix(entries=np.where(lower, raw, raw.T)))
     return grid, mats
 
 
@@ -67,4 +67,4 @@ def test_error_difference(case):
     _, (est, truth) = case
     buf = np.empty_like(truth.entries)
     np.subtract(est.entries, truth.entries, out=buf)
-    _assert_symmetric_and_finite(CovMatrix._derived(buf, truth.grid_h))
+    _assert_symmetric_and_finite(CovMatrix._derived(buf))

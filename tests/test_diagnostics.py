@@ -104,10 +104,14 @@ class TestSpectralNorm:
 
     def test_all_zero_cov_matrix(self):
         # ARPACK cannot start on it (error -9); the dense solve gives 0.
-        assert spectral_norm(CovMatrix(entries=np.zeros((300, 300)), grid_h=1.0)) == 0.0
+        assert spectral_norm(CovMatrix(entries=np.zeros((300, 300)))) == 0.0
+
+    def test_empty_array_has_norm_zero(self):
+        # CovMatrix refuses a 0 x 0 matrix; a bare array of that shape is fine.
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_cov_matrix_still_checks_tolerance_and_method(self):
-        C = CovMatrix(entries=np.eye(3), grid_h=1.0)
+        C = CovMatrix(entries=np.eye(3))
         with pytest.raises(UsageError, match="tolerance"):
             spectral_norm(C, tol=0.5)
         with pytest.raises(UsageError, match="unknown method"):
@@ -578,7 +582,7 @@ def test_centrosymmetry_gate_folds_last_bit_asymmetry(n):
 class TestOperatorQuantities:
     def test_identity_matrix(self):
         n = 24
-        q = operator_quantities(CovMatrix(entries=np.eye(n), grid_h=1 / n))
+        q = operator_quantities(CovMatrix(entries=np.eye(n)))
         assert q.trace_op == pytest.approx(1.0)
         assert q.op_norm == pytest.approx(1 / n)
         assert q.r_eff == pytest.approx(n)
@@ -586,7 +590,7 @@ class TestOperatorQuantities:
     def test_scale_invariance_of_r_eff(self):
         C = discretize(SquaredExponential(0.1), build_grid(1, 120))
         q1 = operator_quantities(C)
-        q4 = operator_quantities(CovMatrix(entries=4.0 * C.entries, grid_h=C.grid_h))
+        q4 = operator_quantities(CovMatrix(entries=4.0 * C.entries))
         assert q4.r_eff == pytest.approx(q1.r_eff, rel=1e-12)
         assert q4.op_norm == pytest.approx(4.0 * q1.op_norm, rel=1e-12)
 
@@ -599,7 +603,7 @@ class TestOperatorQuantities:
 
 class TestGamma1:
     def test_identity_is_one_for_all_q(self):
-        C = CovMatrix(entries=np.eye(30), grid_h=1 / 30)
+        C = CovMatrix(entries=np.eye(30))
         for q in (0.25, 0.5, 1.0):
             assert gamma1(C, q) == pytest.approx(1.0, rel=1e-12)
 
@@ -610,7 +614,7 @@ class TestGamma1:
             vals = [gamma1(C, q) for q in (0.25, 0.5, 1.0)]
             assert vals[0] >= vals[1] >= vals[2] >= 1.0 - 1e-9
         # also for a generic PSD matrix, not just kernels
-        C = CovMatrix(entries=random_psd(rng, 40, jitter=0.4), grid_h=1 / 40)
+        C = CovMatrix(entries=random_psd(rng, 40, jitter=0.4))
         assert gamma1(C, 0.5) >= gamma1(C, 1.0) >= 1.0 - 1e-9
 
     def test_given_operator_norm_gives_the_same_value(self):
@@ -620,7 +624,7 @@ class TestGamma1:
             assert gamma1(C, q, op_norm=op_norm) == gamma1(C, q)
 
     def test_rejects_q_outside_unit_interval(self):
-        C = CovMatrix(entries=np.eye(4), grid_h=0.25)
+        C = CovMatrix(entries=np.eye(4))
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(UsageError):
                 gamma1(C, bad)
@@ -628,13 +632,13 @@ class TestGamma1:
 
 class TestGamma2:
     def test_single_point_grid_mean_zero(self):
-        fac = cholesky_psd(CovMatrix(entries=np.array([[1.0]]), grid_h=1.0))
+        fac = cholesky_psd(CovMatrix(entries=np.array([[1.0]])))
         est, se = gamma2(fac, M_mc=4000, seed=0)
         assert abs(est) <= 3 * se
 
     def test_max_of_iid_normals_matches_oracle(self):
         n = 16
-        fac = cholesky_psd(CovMatrix(entries=np.eye(n), grid_h=1 / n))
+        fac = cholesky_psd(CovMatrix(entries=np.eye(n)))
         est, se = gamma2(fac, M_mc=20_000, seed=1)
         draws = np.random.default_rng(2).standard_normal((200_000, n))
         oracle = float(draws.max(axis=1).mean())
@@ -644,8 +648,8 @@ class TestGamma2:
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         C = random_psd(rng, 6, jitter=0.3)
-        f1 = cholesky_psd(CovMatrix(entries=C, grid_h=1 / 6))
-        f4 = cholesky_psd(CovMatrix(entries=4.0 * C, grid_h=1 / 6))
+        f1 = cholesky_psd(CovMatrix(entries=C))
+        f4 = cholesky_psd(CovMatrix(entries=4.0 * C))
         e1, _ = gamma2(f1, M_mc=5000, seed=3)
         e4, _ = gamma2(f4, M_mc=5000, seed=3)
         assert e4 == pytest.approx(e1, rel=1e-12)

@@ -8,7 +8,6 @@ import pytest
 from covlab import (
     CovMatrix,
     NuSequence,
-    SampleSet,
     UsageError,
     adaptive_threshold,
     build_grid,
@@ -20,7 +19,7 @@ from covlab import (
 
 
 def _chat(entries, L):
-    return CovMatrix(entries=np.asarray(entries, dtype=float), grid_h=1 / L)
+    return CovMatrix(entries=np.asarray(entries, dtype=float))
 
 
 class TestTaperEstimate:
@@ -164,33 +163,40 @@ class TestChooseKappa:
 
 class TestAdaptiveThreshold:
     def test_zero_paths_give_zero(self):
-        S = SampleSet(paths=np.zeros((3, 5)), grid_h=0.2)
+        S = np.zeros((3, 5))
         assert adaptive_threshold(S, 2.0, 1.0) == 0.0
 
     def test_single_path_worked_example(self):
-        S = SampleSet(paths=np.array([[0.5, 2.0, -1.0]]), grid_h=1 / 3)
+        S = np.array([[0.5, 2.0, -1.0]])
         # c0 * sqrt(k_inf) / sqrt(N) * mean of per-path maxima = 2 * 1 * 2 / 1
         assert adaptive_threshold(S, 2.0, 1.0) == pytest.approx(4.0)
 
     def test_signed_supremum_can_go_negative(self):
-        S = SampleSet(paths=np.array([[-3.0, -1.0]]), grid_h=0.5)
+        S = np.array([[-3.0, -1.0]])
         assert adaptive_threshold(S, 1.0, 1.0) == pytest.approx(-1.0)
 
     def test_homogeneity_with_known_k_inf(self):
         rng = np.random.default_rng(5)
         paths = rng.standard_normal((6, 8))
-        base = adaptive_threshold(SampleSet(paths=paths, grid_h=1 / 8), 2.0, 1.0)
-        doubled = adaptive_threshold(
-            SampleSet(paths=2.0 * paths, grid_h=1 / 8), 2.0, 1.0
-        )
+        base = adaptive_threshold(paths, 2.0, 1.0)
+        doubled = adaptive_threshold(2.0 * paths, 2.0, 1.0)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_negative_known_value_rejected(self):
-        S = SampleSet(paths=np.ones((2, 3)), grid_h=1 / 3)
+        S = np.ones((2, 3))
         with pytest.raises(UsageError):
             adaptive_threshold(S, 2.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "paths",
+        [np.zeros((0, 5)), np.zeros((3, 0)), np.zeros(5), np.zeros((2, 3, 4))],
+        ids=["no-rows", "no-columns", "1-D", "3-D"],
+    )
+    def test_paths_must_be_a_non_empty_2d_array(self, paths):
+        with pytest.raises(UsageError, match="non-empty"):
+            adaptive_threshold(paths, 2.0, 1.0)
+
     def test_nonpositive_c0_rejected(self):
-        S = SampleSet(paths=np.ones((2, 3)), grid_h=1 / 3)
+        S = np.ones((2, 3))
         with pytest.raises(UsageError):
             adaptive_threshold(S, 0.0, 1.0)

@@ -31,13 +31,13 @@ class TestGrid:
     def test_build_grid_d1(self):
         g = build_grid(1, 5)
         assert g.n == 5
-        assert g.h == pytest.approx(1 / 5)
+        assert CovMatrix(np.eye(g.n)).h == pytest.approx(1 / 5)
         np.testing.assert_allclose(g.points[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_build_grid_d2_has_product_points(self):
         g = build_grid(2, 3)
         assert g.n == 9
-        assert g.h == pytest.approx(1 / 9)
+        assert CovMatrix(np.eye(g.n)).h == pytest.approx(1 / 9)
         coords = set(map(tuple, g.points))
         axis = (0.0, 0.5, 1.0)
         assert coords == {(a, b) for a in axis for b in axis}
@@ -183,19 +183,29 @@ class TestDiscretize:
         C = discretize(SquaredExponential(0.3), g)
         np.testing.assert_array_equal(C.entries, C.entries.T)
         np.testing.assert_allclose(np.diag(C.entries), 1.0)
-        assert C.grid_h == pytest.approx(1 / 25)
 
     def test_cov_matrix_rejects_asymmetry(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(UsageError):
-            CovMatrix(entries=bad, grid_h=0.5)
+            CovMatrix(entries=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_cov_matrix_rejects_non_finite_entries(self, bad):
         entries = np.eye(3)
         entries[1, 2] = entries[2, 1] = bad
         with pytest.raises(UsageError, match="non-finite"):
-            CovMatrix(entries=entries, grid_h=0.5)
+            CovMatrix(entries=entries)
+
+    def test_cov_matrix_rejects_an_empty_matrix(self):
+        # Its weight 1/n needs at least one grid point.
+        with pytest.raises(UsageError, match="at least one grid point"):
+            CovMatrix(entries=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(("d", "L"), [(1, 7), (1, 1250), (2, 5), (2, 36), (3, 4)])
+    def test_weight_is_one_over_n(self, d, L):
+        C = discretize(SquaredExponential(0.3), build_grid(d, L))
+        assert C.h == 1.0 / L**d
+        assert C.h == float(L) ** -d  # the grid weight L^-d, bit for bit here
 
 
 _LENGTHSCALES = st.floats(0.01, 2.0)
@@ -241,6 +251,11 @@ class TestPiecewiseConstant:
         with pytest.raises(UsageError):
             PiecewiseConstant(np.array([[1.0, 0.1], [0.2, 1.0]]))
 
+    def test_rejects_empty_values(self):
+        # Zero cells cannot divide a grid into equal blocks.
+        with pytest.raises(UsageError, match="at least one grid point"):
+            PiecewiseConstant(np.zeros((0, 0)))
+
 
 class TestFisherYates:
     def test_is_a_permutation_and_deterministic(self):
@@ -261,4 +276,3 @@ class TestFisherYates:
         C = discretize(SquaredExponential(0.1), build_grid(1, 60))
         shuffled, perm = shuffle_cov(C, 11)
         assert np.array_equal(shuffled.entries, C.entries[np.ix_(perm, perm)])
-        assert shuffled.grid_h == C.grid_h

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from covlab import (
     CovMatrix,
     NumericError,
-    SampleSet,
     UsageError,
     build_grid,
     cholesky_psd,
@@ -20,8 +19,8 @@ from covlab.sampling import CholFactor, _substream_keys
 from helpers import random_psd
 
 
-def _wrap(entries: np.ndarray, grid_h: float = 0.1) -> CovMatrix:
-    return CovMatrix(entries=entries, grid_h=grid_h)
+def _wrap(entries: np.ndarray) -> CovMatrix:
+    return CovMatrix(entries=entries)
 
 
 def _substream(seed: int, i: int) -> np.random.Generator:
@@ -29,7 +28,7 @@ def _substream(seed: int, i: int) -> np.random.Generator:
 
 
 def _identity(n: int) -> CholFactor:
-    return CholFactor(lower=np.eye(n), jitter_used=0.0, grid_h=1.0 / n)
+    return CholFactor(lower=np.eye(n), jitter_used=0.0)
 
 
 _KEY_SEEDS = [
@@ -66,7 +65,6 @@ class TestCholeskyPsd:
         C = discretize(SquaredExponential(0.05), g)
         fac = cholesky_psd(C)
         np.testing.assert_allclose(fac.lower @ fac.lower.T, C.entries, atol=1e-7)
-        assert fac.grid_h == C.grid_h
 
 
 class TestDrawPaths:
@@ -75,14 +73,14 @@ class TestDrawPaths:
         fac = cholesky_psd(_wrap(random_psd(rng, 8, jitter=0.2)))
         a = draw_paths(fac, 4, 99)
         b = draw_paths(fac, 4, 99)
-        np.testing.assert_array_equal(a.paths, b.paths)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_draws(self):
         rng = np.random.default_rng(5)
         fac = cholesky_psd(_wrap(random_psd(rng, 8, jitter=0.2)))
         a = draw_paths(fac, 4, 1)
         b = draw_paths(fac, 4, 2)
-        assert not np.array_equal(a.paths, b.paths)
+        assert not np.array_equal(a, b)
 
     def test_rows_come_from_per_path_substreams(self):
         # Growing N must extend the sample, not reshuffle it.
@@ -90,7 +88,7 @@ class TestDrawPaths:
         fac = cholesky_psd(_wrap(random_psd(rng, 10, jitter=0.2)))
         small = draw_paths(fac, 3, 42)
         big = draw_paths(fac, 7, 42)
-        np.testing.assert_array_equal(big.paths[:3], small.paths)
+        np.testing.assert_array_equal(big[:3], small)
 
     def test_marginal_covariance_converges(self):
         rng = np.random.default_rng(8)
@@ -125,7 +123,7 @@ class TestDrawPaths:
     @pytest.mark.parametrize("N", [1, 31, 32, 33, 65])
     def test_identity_factor_returns_the_substream_normals(self, N):
         want = np.array([_substream(2024, i).standard_normal(6) for i in range(N)])
-        got = draw_paths(_identity(6), N, 2024).paths
+        got = draw_paths(_identity(6), N, 2024)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("N", [1, 31, 32, 33, 64])
@@ -135,12 +133,12 @@ class TestDrawPaths:
         rng = np.random.default_rng(11)
         fac = cholesky_psd(_wrap(random_psd(rng, 100, jitter=0.2)))
         big = draw_paths(fac, 70, 31)
-        np.testing.assert_array_equal(draw_paths(fac, N, 31).paths, big.paths[:N])
+        np.testing.assert_array_equal(draw_paths(fac, N, 31), big[:N])
 
     def test_blocked_product_matches_per_path_product(self):
         rng = np.random.default_rng(12)
         fac = cholesky_psd(_wrap(random_psd(rng, 300, jitter=0.2)))
-        got = draw_paths(fac, 40, 77).paths
+        got = draw_paths(fac, 40, 77)
         for i, row in enumerate(got):
             want = fac.lower @ _substream(77, i).standard_normal(300)
             assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
@@ -149,7 +147,7 @@ class TestDrawPaths:
         # Rows sliced from the padded block buffer would keep it alive.
         rng = np.random.default_rng(13)
         fac = cholesky_psd(_wrap(random_psd(rng, 10, jitter=0.2)))
-        paths = draw_paths(fac, 33, 5).paths
+        paths = draw_paths(fac, 33, 5)
         assert paths.shape == (33, 10)
         assert paths.flags.c_contiguous
         assert paths.base is None
@@ -158,28 +156,28 @@ class TestDrawPaths:
     @given(seed=st.integers(0, 2**96 - 1), N=st.integers(1, 80))
     def test_identity_draws_equal_per_path_generators(self, seed, N):
         want = np.array([_substream(seed, i).standard_normal(3) for i in range(N)])
-        np.testing.assert_array_equal(draw_paths(_identity(3), N, seed).paths, want)
+        np.testing.assert_array_equal(draw_paths(_identity(3), N, seed), want)
 
 
 class TestSampleCov:
     def test_single_path_outer_product(self):
-        S = SampleSet(paths=np.array([[1.0, 2.0]]), grid_h=0.5)
+        S = np.array([[1.0, 2.0]])
         np.testing.assert_array_equal(
             sample_cov(S).entries, [[1.0, 2.0], [2.0, 4.0]]
         )
 
     def test_zero_paths_give_zero_matrix(self):
-        S = SampleSet(paths=np.zeros((3, 4)), grid_h=0.25)
+        S = np.zeros((3, 4))
         np.testing.assert_array_equal(sample_cov(S).entries, np.zeros((4, 4)))
 
     def test_no_mean_centering(self):
         # Constant paths have second moment c^2, not variance 0.
-        S = SampleSet(paths=np.full((6, 3), 2.0), grid_h=1 / 3)
+        S = np.full((6, 3), 2.0)
         np.testing.assert_allclose(sample_cov(S).entries, 4.0)
 
     def test_output_is_exactly_symmetric_psd(self):
         rng = np.random.default_rng(10)
-        S = SampleSet(paths=rng.standard_normal((7, 12)), grid_h=1 / 12)
+        S = rng.standard_normal((7, 12))
         Chat = sample_cov(S)
         np.testing.assert_array_equal(Chat.entries, Chat.entries.T)
         assert np.linalg.eigvalsh(Chat.entries).min() >= -1e-12
@@ -196,6 +194,6 @@ class TestSampleCov:
             paths = paths[:, rng.permutation(1250)]
         gram = paths.T @ paths
         np.testing.assert_array_equal(gram, gram.T)
-        got = sample_cov(SampleSet(paths=paths, grid_h=1 / 1250)).entries
+        got = sample_cov(paths).entries
         G = gram / N
         np.testing.assert_array_equal(got, (G + G.T) / 2.0)
