@@ -55,11 +55,11 @@ from .minimax import (
     SparseThetaIndex,
     ThetaIndex,
     assouad_terms,
-    build_f1_banded,
     build_linked_banded,
     build_sparse_theta,
     certify_banded_membership,
     certify_sparse_membership,
+    diagonal_separation,
     flip_bit,
     sample_banded_theta,
     sample_sparse_theta,

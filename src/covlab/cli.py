@@ -46,6 +46,7 @@ from .minimax import (
     assouad_terms,
     certify_banded_membership,
     certify_sparse_membership,
+    diagonal_separation,
     flip_bit,
     sample_banded_theta,
     sample_sparse_theta,
@@ -344,11 +345,10 @@ def cmd_minimax_check(args) -> int:
     _print_resolved(resolved)
 
     if family == "f1":
-        spec = BandedFamilySpec(kind="f1", r=r, N=N, tau=tau)
-        w, delta = spec.w, spec.separation
-        # The family's checks in O(1): each member is w*I with one entry w - delta.
-        psd = delta < w
-        exact = math.isclose(w - (w - delta), delta, rel_tol=1e-12)
+        delta = diagonal_separation(r, N, tau)
+        # The family's checks in O(1): each member is I with one entry 1 - delta.
+        psd = delta < 1.0
+        exact = math.isclose(1.0 - (1.0 - delta), delta, rel_tol=1e-12)
         _print_pairs([("family", "f1"), ("members", r + 1), ("separation", delta),
                       ("psd.pass", psd), ("separation_exact.pass", exact)])
         return 0 if psd and exact else 1

@@ -451,7 +451,7 @@ def gamma1(C: CovMatrix, q: float, *, op_norm: Optional[float] = None) -> float:
     abs_e = np.abs(C.entries)
     k_inf = float(np.max(abs_e))
     if op_norm is None:
-        op_norm = C.h * spectral_norm(C.entries)
+        op_norm = C.h * spectral_norm(C)
     if op_norm == 0.0:
         raise UsageError("zero operator has no sparsity functional")
     row_q = float(np.max(np.sum(abs_e**q, axis=1))) * C.h

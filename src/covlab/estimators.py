@@ -14,6 +14,7 @@ import numpy as np
 from .errors import UsageError
 from .diagnostics import NuSequence, m_star
 from .grid_kernel import CovMatrix, Grid, taper_weight_matrix
+from .sampling import path_array
 
 __all__ = [
     "taper_estimate",
@@ -57,7 +58,7 @@ def choose_kappa(nu: NuSequence, N: int, d: int, scale: float) -> float:
     return m_star(nu, N, d) * scale
 
 
-def adaptive_threshold(paths: np.ndarray, c0: float, k_inf: float) -> float:
+def adaptive_threshold(paths, c0: float, k_inf: float) -> float:
     """Data-driven threshold level from the empirical suprema of the (N, n) paths.
 
     rho_hat = c0 * sqrt(k_inf / N) * mean over the N rows of the signed
@@ -68,8 +69,7 @@ def adaptive_threshold(paths: np.ndarray, c0: float, k_inf: float) -> float:
     draws (every path entirely below zero); callers that feed it to
     threshold_estimate will then see the level rejected.
     """
-    if paths.ndim != 2 or 0 in paths.shape:
-        raise UsageError(f"paths must be a non-empty (N, n) array, got shape {paths.shape}")
+    paths = path_array(paths)
     if not c0 > 0:
         raise UsageError(f"c0 must be > 0, got {c0}")
     if k_inf < 0:

@@ -1,10 +1,11 @@
 """Lower-bound parameter families as explicit matrices, with certificates.
 
-Three banded families (a diagonal one and two cell-linked ones at large and
-small effective dimension) and one sparse block family are built exactly as
-matrices over equal-volume cells of [0,1]^d.  Certifiers re-check every
-finite membership inequality numerically and report measured slack; nothing
-is assumed to hold.
+Two cell-linked banded families (at large and small effective dimension)
+and one sparse block family are built exactly as matrices over
+equal-volume cells of [0,1]^d.  Certifiers re-check every finite
+membership inequality numerically and report measured slack; nothing is
+assumed to hold.  The diagonal family enters its bound only through its
+separation, which ``diagonal_separation`` gives in closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
     "CheckResult",
     "CertificateReport",
     "AssouadReport",
-    "build_f1_banded",
+    "diagonal_separation",
     "build_linked_banded",
     "build_sparse_theta",
     "certify_banded_membership",
@@ -44,6 +45,8 @@ __all__ = [
 # Pinned constant for the banded tail certificate: the off-diagonal row mass
 # is at most a 1/4 Gershgorin budget, so tails stay below (5/4) nu_m |C|.
 _TAIL_CONST = 1.25
+# Monte Carlo draws behind the sparse certificate's capacity check.
+_MC_SAMPLES = 2000
 
 
 # ------------------------------------------------------------- reports ----
@@ -83,54 +86,60 @@ def _check(name: str, measured: float, bound: float, kind: str) -> CheckResult:
 # ------------------------------------------------------- banded families ----
 
 
+def _check_banded(r: int, N: int, d: int, tau: float) -> None:
+    """The refusals every banded family shares, in the order they are made."""
+    if r <= 1:
+        raise UsageError(f"family needs r > 1, got r={r}")
+    if N < 1:
+        raise UsageError(f"family needs N >= 1, got N={N}")
+    if d < 1:
+        raise UsageError(f"family needs d >= 1, got d={d}")
+    tau_cap = 4.0 ** (-(d + 1))
+    if not (0.0 < tau < tau_cap):
+        raise UsageError(f"tau must lie in (0, 4^-(d+1)) = (0, {tau_cap:g}), got {tau}")
+
+
+def diagonal_separation(r: int, N: int, tau: float) -> float:
+    """Separation delta = sqrt(tau log r / N) < 1/4 of the diagonal family f1.
+
+    The family's r+1 members are I and, for each ell, I less delta at
+    (ell, ell), so delta is each perturbed member's distance from I; its
+    lower bound needs nothing else.  Needs r > 1, N >= 1, tau in (0, 1/16)
+    and N > log r.
+    """
+    _check_banded(r, N, 1, tau)
+    if not N > math.log(r):
+        raise UsageError(f"diagonal family needs N > log r: N={N}, log r={math.log(r):.3f}")
+    return math.sqrt(tau * math.log(r) / N)
+
+
 @dataclass(frozen=True)
 class BandedFamilySpec:
-    """Parameters of the banded lower-bound families.
+    """Parameters of the linked banded lower-bound families.
 
-    kind 'f1' is the diagonal family; 'f2' links active cells forward by 2
-    to (2K-1) cells at amplitude tau*h_N (needs r > m_star^d); 'f3' links
-    the first half of the cells forward at amplitude tau/sqrt(N r)
-    (needs r < m_star^d).
+    kind 'f2' links active cells forward by 2 to (2K-1) cells at amplitude
+    tau*h_N (needs r > m_star^d); 'f3' links the first half of the cells
+    forward at amplitude tau/sqrt(N r) (needs r < m_star^d).  Each active
+    cell carries one theta bit; there are ``half`` of them per axis.
     """
 
     kind: str
     r: int
     N: int
+    nu: NuSequence
     d: int = 1
-    w: float = 1.0
     tau: float = 0.003
-    nu: Optional[NuSequence] = None
     m_star: int = field(init=False, default=0)
     K: int = field(init=False, default=0)
     h_N: float = field(init=False, default=0.0)
     gamma_N: int = field(init=False, default=0)
     S: int = field(init=False, default=0)
+    half: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("f1", "f2", "f3"):
+        if self.kind not in ("f2", "f3"):
             raise UsageError(f"unknown banded family kind {self.kind!r}")
-        if self.r <= 1:
-            raise UsageError(f"family needs r > 1, got r={self.r}")
-        if self.N < 1:
-            raise UsageError(f"family needs N >= 1, got N={self.N}")
-        if self.d < 1:
-            raise UsageError(f"family needs d >= 1, got d={self.d}")
-        if not self.w > 0:
-            raise UsageError(f"scale constant w must be > 0, got {self.w}")
-        tau_cap = 4.0 ** (-(self.d + 1))
-        if not (0.0 < self.tau < tau_cap):
-            raise UsageError(
-                f"tau must lie in (0, 4^-(d+1)) = (0, {tau_cap:g}), got {self.tau}"
-            )
-        if self.kind == "f1":
-            if not self.N > math.log(self.r):
-                raise UsageError(
-                    f"diagonal family needs N > log r: N={self.N}, log r="
-                    f"{math.log(self.r):.3f}"
-                )
-            return
-        if self.nu is None:
-            raise UsageError(f"family {self.kind} needs a tail sequence nu")
+        _check_banded(self.r, self.N, self.d, self.tau)
         ms = m_star(self.nu, self.N, self.d)
         K = max(1, int(math.floor((ms - 1) / (2.0 * math.sqrt(self.d)))))
         S = round(self.r ** (1.0 / self.d))
@@ -147,7 +156,7 @@ class BandedFamilySpec:
                 raise UsageError(
                     f"F2 needs N > log r: N={self.N}, log r={math.log(self.r):.3f}"
                 )
-            gamma = K**self.d
+            half = K
             h_N = float(K) ** (-self.d) * math.sqrt(ms**self.d / self.N)
         else:  # f3
             if self.r >= ms**self.d:
@@ -156,44 +165,30 @@ class BandedFamilySpec:
                 )
             if S % 2 != 0:
                 raise UsageError(f"F3 needs an even cell count per axis, got S={S}")
-            gamma = (S // 2) ** self.d
+            half = S // 2
             h_N = 0.0
         object.__setattr__(self, "m_star", ms)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "gamma_N", gamma)
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "gamma_N", half**self.d)
         object.__setattr__(self, "h_N", h_N)
-
-    @property
-    def separation(self) -> float:
-        """delta = w sqrt(tau log r / N) < w/4, each f1 member's distance from w*I."""
-        if self.kind != "f1":
-            raise UsageError("the linked families have no diagonal separation")
-        return self.w * math.sqrt(self.tau * math.log(self.r) / self.N)
 
     @property
     def amplitude(self) -> float:
         """Off-diagonal entry value of a perturbed cell pair."""
         if self.kind == "f2":
             return self.tau * self.h_N
-        if self.kind == "f3":
-            return self.tau / math.sqrt(self.N * self.r)
-        raise UsageError("the diagonal family has no off-diagonal amplitude")
+        return self.tau / math.sqrt(self.N * self.r)
 
     def active_cells(self) -> list:
         """Perturbation cells in row-major order; one theta bit per cell."""
-        if self.kind == "f2":
-            per_axis = range(self.K)
-        elif self.kind == "f3":
-            per_axis = range(self.S // 2)
-        else:
-            raise UsageError("the diagonal family has no perturbation cells")
-        return list(itertools.product(per_axis, repeat=self.d))
+        return list(itertools.product(range(self.half), repeat=self.d))
 
     @property
     def last_linked(self) -> int:
         """Last cell index, along each axis, that a link may reach."""
-        return 2 * self.K - 1 if self.kind == "f2" else self.S - 1
+        return 2 * self.half - 1
 
     def links(self) -> list:
         """(row, [linked columns]) per active cell, in theta-bit order.
@@ -219,17 +214,6 @@ class ThetaIndex:
     def __post_init__(self) -> None:
         if any(b not in (0, 1) for b in self.bits):
             raise UsageError("theta bits must be 0/1")
-
-
-def build_f1_banded(spec: BandedFamilySpec) -> list:
-    """The r+1 diagonal-family members: w*I, then w*I less delta at each (ell, ell)."""
-    delta = spec.separation  # refuses a linked spec
-    members = [spec.w * np.eye(spec.r)]
-    for ell in range(spec.r):
-        m = spec.w * np.eye(spec.r)
-        m[ell, ell] -= delta
-        members.append(m)
-    return members
 
 
 def build_linked_banded(spec: BandedFamilySpec, theta: ThetaIndex) -> np.ndarray:
@@ -260,7 +244,7 @@ def certify_banded_membership(spec: BandedFamilySpec, theta: ThetaIndex) -> Cert
     bound, the effective-dimension window, and the banding tails (exactly
     zero beyond the truncation index, tail-sequence bounded below it).
     """
-    Sigma = build_linked_banded(spec, theta)  # refuses an f1 spec
+    Sigma = build_linked_banded(spec, theta)
     r, S, d = spec.r, spec.S, spec.d
     eigs = np.linalg.eigvalsh(Sigma)
     lam_min, norm = float(eigs[0]), float(np.max(np.abs(eigs)))
@@ -446,14 +430,13 @@ def certify_sparse_membership(
     spec: SparseFamilySpec,
     theta: SparseThetaIndex,
     *,
-    mc_samples: int = 2000,
     seed: int = 0,
 ) -> CertificateReport:
     """Numeric membership certificate for a sparse-family member.
 
-    Checks the sparsity budget, the Monte Carlo capacity bound with a
-    one-sided 3-sigma allowance, the support-count product bound, and unit
-    operator norm.
+    Checks the sparsity budget, the Monte Carlo capacity bound over
+    _MC_SAMPLES draws with a one-sided 3-sigma allowance, the support-count
+    product bound, and unit operator norm.
     """
     Sigma = build_sparse_theta(spec, theta)
     n = Sigma.shape[0]
@@ -471,7 +454,7 @@ def certify_sparse_membership(
     cap_bound = math.sqrt(2.0 * math.log(n))
     checks.append(_check("cap_vs_gamma2", cap_bound, spec.gamma2 * (1 + 1e-12), "le"))
     # The largest variance is Sigma[0, 0] = 1, so gamma2's scale is exactly 1.
-    est, se = gamma2(cholesky_psd(CovMatrix(Sigma)), mc_samples, seed)
+    est, se = gamma2(cholesky_psd(CovMatrix(Sigma)), _MC_SAMPLES, seed)
     checks.append(_check("capacity_mc", est, cap_bound + 3.0 * se, "le"))
     # Its q=0 variant counts the support, with the 0^0 = 0 convention.
     g0 = float(np.max(np.sum(Sigma != 0.0, axis=1))) * k_inf / norm
@@ -553,19 +536,18 @@ def _banded_pair_data(spec: BandedFamilySpec, a: ThetaIndex, b: ThetaIndex):
         if targets and not np.array_equal(Sa[i, targets], Sb[i, targets])
     )
     # Witness: indicator of the target half-block the links point into.
-    base = spec.K if spec.kind == "f2" else spec.S // 2
     v = np.zeros(spec.r)
-    for target in itertools.product(range(base, 2 * base), repeat=spec.d):
+    for target in itertools.product(range(spec.half, spec.last_linked + 1), repeat=spec.d):
         v[int(np.ravel_multi_index(target, dims))] = 1.0
     # Exact per-cell witness mass: the per-axis link range clipped to the
-    # target block has min(base, last_linked-c_i-1) cells.
+    # target block has min(half, last_linked-c_i-1) cells.
     pred2 = 0.0
     for bit_a, bit_b, cell in zip(a.bits, b.bits, cells):
         if bit_a == bit_b:
             continue
         count = 1
         for c_i in cell:
-            lo = max(c_i + 2, base)
+            lo = max(c_i + 2, spec.half)
             count *= max(0, spec.last_linked - lo + 1)
         pred2 += (spec.amplitude * count) ** 2
     return Sa, Sb, h_bits, h_matrix, v, math.sqrt(pred2)
@@ -595,7 +577,7 @@ def assouad_terms(spec, pairs: Sequence) -> AssouadReport:
     """
     if not pairs:
         raise UsageError("need at least one theta pair")
-    banded = isinstance(spec, BandedFamilySpec)  # build_linked_banded refuses f1
+    banded = isinstance(spec, BandedFamilySpec)
     alpha_min = math.inf
     worst_kl = 0.0
     worst_frob2 = 0.0

@@ -172,7 +172,18 @@ def draw_paths(factor: CholFactor, N: int, seed: int) -> np.ndarray:
     return paths
 
 
-def sample_cov(paths: np.ndarray) -> CovMatrix:
+def path_array(paths) -> np.ndarray:
+    """The (N, n) paths as a float64 array, without a copy if they are one.
+
+    Refuses anything but a non-empty 2-D array-like.
+    """
+    paths = np.asarray(paths, dtype=np.float64)
+    if paths.ndim != 2 or 0 in paths.shape:
+        raise UsageError(f"paths must be a non-empty (N, n) array, got shape {paths.shape}")
+    return paths
+
+
+def sample_cov(paths) -> CovMatrix:
     """Uncentered sample covariance (1/N) sum_n u_n u_n^T of the (N, n) paths.
 
     The model is centered, so no mean is subtracted.  numpy computes the
@@ -180,6 +191,7 @@ def sample_cov(paths: np.ndarray) -> CovMatrix:
     path, which fills one triangle and mirrors it, so the result is exactly
     symmetric without a pass of its own; CovMatrix would refuse it if not.
     """
+    paths = path_array(paths)
     G = paths.T @ paths
     G /= paths.shape[0]
     return CovMatrix(entries=G)

@@ -492,6 +492,17 @@ class TestMinimaxCheck:
         assert "capacity_mc.pass=true" in out
         assert ".pass=false" not in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--r", "1"], "family needs r > 1, got r=1"),
+        (["--r", "256", "--N", "1"], "diagonal family needs N > log r: N=1, log r=5.545"),
+        (["--tau", "0.5"], "tau must lie in (0, 4^-(d+1)) = (0, 0.0625), got 0.5"),
+    ], ids=["r1", "N1", "tau0.5"])
+    def test_f1_refusals_exit_2(self, capsys, flags, message):
+        code, out, err = _run(capsys, ["minimax-check", "--class", "f1"] + flags)
+        assert code == 2
+        assert out.startswith("# resolved config\n") and "family=" not in out
+        assert err == f"covlab: error: {message}\n"
+
     def test_tau_rejected_for_sparse(self, capsys):
         code, _, err = _run(capsys, [
             "minimax-check", "--class", "sparse", "--samples", "1", "--tau", "0.1",

@@ -623,6 +623,15 @@ class TestGamma1:
         for q in (0.25, 0.5, 1.0):
             assert gamma1(C, q, op_norm=op_norm) == gamma1(C, q)
 
+    def test_cov_matrix_entries_are_not_checked_again(self, monkeypatch):
+        C = discretize(SquaredExponential(0.05), build_grid(1, 300))
+        calls = []
+        real = covlab.diagnostics._largest_gap
+        monkeypatch.setattr(covlab.diagnostics, "_largest_gap",
+                            lambda A, B: calls.append(A.shape) or real(A, B))
+        gamma1(C, 0.5)
+        assert calls == []
+
     def test_rejects_q_outside_unit_interval(self):
         C = CovMatrix(entries=np.eye(4))
         for bad in (0.0, -0.2, 1.5):

@@ -18,7 +18,7 @@ from covlab import (
 )
 
 
-def _chat(entries, L):
+def _chat(entries):
     return CovMatrix(entries=np.asarray(entries, dtype=float))
 
 
@@ -27,19 +27,19 @@ class TestTaperEstimate:
         g = build_grid(1, 6)
         rng = np.random.default_rng(1)
         A = rng.standard_normal((6, 6))
-        Chat = _chat((A + A.T) / 2, 6)
+        Chat = _chat((A + A.T) / 2)
         out = taper_estimate(Chat, 1.0, g)
         np.testing.assert_array_equal(out.entries, Chat.entries)
 
     def test_collapses_to_diagonal_for_tiny_kappa(self):
         g = build_grid(1, 5)  # spacing 0.25
-        Chat = _chat(np.ones((5, 5)), 5)
+        Chat = _chat(np.ones((5, 5)))
         out = taper_estimate(Chat, 0.1, g)  # support 2*kappa = 0.2 < spacing
         np.testing.assert_array_equal(out.entries, np.eye(5))
 
     def test_ramp_value_on_all_ones(self):
         g = build_grid(1, 5)
-        Chat = _chat(np.ones((5, 5)), 5)
+        Chat = _chat(np.ones((5, 5)))
         out = taper_estimate(Chat, 0.3, g)
         # entry (0, 2): gap 0.5, weight (0.6 - 0.5) / 0.3
         assert out.entries[0, 2] == pytest.approx(1 / 3)
@@ -50,7 +50,7 @@ class TestTaperEstimate:
         g = build_grid(1, 9)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((9, 9))
-        Chat = _chat((A + A.T) / 2, 9)
+        Chat = _chat((A + A.T) / 2)
         kappa = 0.2
         out = taper_estimate(Chat, kappa, g)
         for i in range(9):
@@ -68,7 +68,7 @@ class TestTaperEstimate:
         g = build_grid(2, 4)
         rng = np.random.default_rng(3)
         A = rng.standard_normal((16, 16))
-        Chat = _chat((A + A.T) / 2, 16)
+        Chat = _chat((A + A.T) / 2)
         once = taper_estimate(Chat, 0.5, g)
         # Same support pattern, but weights multiply twice; idempotence holds
         # for the 0/1 plateau region and the zero region.
@@ -83,53 +83,53 @@ class TestTaperEstimate:
 
     def test_rejects_bad_inputs(self):
         g = build_grid(1, 4)
-        Chat = _chat(np.eye(4), 4)
+        Chat = _chat(np.eye(4))
         with pytest.raises(UsageError):
             taper_estimate(Chat, 0.0, g)
         with pytest.raises(UsageError):
-            taper_estimate(_chat(np.eye(3), 3), 0.2, g)  # size mismatch
+            taper_estimate(_chat(np.eye(3)), 0.2, g)  # size mismatch
 
     def test_rejects_an_infinite_radius(self):
         # (2 kappa - t) / kappa would be inf / inf, a nan weight.
         with pytest.raises(UsageError, match="finite"):
-            taper_estimate(_chat(np.eye(4), 4), math.inf, build_grid(1, 4))
+            taper_estimate(_chat(np.eye(4)), math.inf, build_grid(1, 4))
 
 
 class TestThresholdEstimate:
     def test_zero_level_is_identity(self):
-        Chat = _chat([[1.0, 0.2], [0.2, 1.0]], 2)
+        Chat = _chat([[1.0, 0.2], [0.2, 1.0]])
         np.testing.assert_array_equal(
             threshold_estimate(Chat, 0.0).entries, Chat.entries
         )
 
     def test_level_above_max_zeroes_everything(self):
-        Chat = _chat([[1.0, 0.2], [0.2, 1.0]], 2)
+        Chat = _chat([[1.0, 0.2], [0.2, 1.0]])
         np.testing.assert_array_equal(
             threshold_estimate(Chat, 1.5).entries, np.zeros((2, 2))
         )
 
     def test_ties_are_kept(self):
-        Chat = _chat([[1.0, 0.3], [0.3, 1.0]], 2)
+        Chat = _chat([[1.0, 0.3], [0.3, 1.0]])
         kept = threshold_estimate(Chat, 0.3)
         np.testing.assert_array_equal(kept.entries, Chat.entries)
         dropped = threshold_estimate(Chat, 0.300001)
         np.testing.assert_array_equal(dropped.entries, np.eye(2))
 
     def test_negative_entries_use_magnitude(self):
-        Chat = _chat([[1.0, -0.4], [-0.4, 1.0]], 2)
+        Chat = _chat([[1.0, -0.4], [-0.4, 1.0]])
         kept = threshold_estimate(Chat, 0.35)
         assert kept.entries[0, 1] == -0.4
 
     def test_dropped_negative_entry_is_negative_zero(self):
         # entry * (|entry| >= level): the sign bit of a dropped negative
         # entry stays, and with it the bytes of a dumped estimate.
-        dropped = threshold_estimate(_chat([[1.0, -0.2], [-0.2, 1.0]], 2), 0.5).entries
+        dropped = threshold_estimate(_chat([[1.0, -0.2], [-0.2, 1.0]]), 0.5).entries
         assert dropped[0, 1] == 0.0 and np.signbit(dropped[0, 1]) and np.signbit(dropped[1, 0])
 
     def test_idempotent_and_monotone_support(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((10, 10))
-        Chat = _chat((A + A.T) / 2, 10)
+        Chat = _chat((A + A.T) / 2)
         lo = threshold_estimate(Chat, 0.3)
         hi = threshold_estimate(Chat, 0.9)
         np.testing.assert_array_equal(
@@ -138,7 +138,7 @@ class TestThresholdEstimate:
         assert set(zip(*np.nonzero(hi.entries))) <= set(zip(*np.nonzero(lo.entries)))
 
     def test_rejects_negative_level(self):
-        Chat = _chat(np.eye(2), 2)
+        Chat = _chat(np.eye(2))
         with pytest.raises(UsageError):
             threshold_estimate(Chat, -0.1)
 
@@ -170,6 +170,11 @@ class TestAdaptiveThreshold:
         S = np.array([[0.5, 2.0, -1.0]])
         # c0 * sqrt(k_inf) / sqrt(N) * mean of per-path maxima = 2 * 1 * 2 / 1
         assert adaptive_threshold(S, 2.0, 1.0) == pytest.approx(4.0)
+
+    def test_nested_list_gives_the_array_result(self):
+        assert adaptive_threshold([[1.0, 2.0]], 2.0, 1.0) == adaptive_threshold(
+            np.array([[1.0, 2.0]]), 2.0, 1.0
+        )
 
     def test_signed_supremum_can_go_negative(self):
         S = np.array([[-3.0, -1.0]])

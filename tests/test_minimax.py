@@ -15,11 +15,11 @@ from covlab import (
     ThetaIndex,
     UsageError,
     assouad_terms,
-    build_f1_banded,
     build_linked_banded,
     build_sparse_theta,
     certify_banded_membership,
     certify_sparse_membership,
+    diagonal_separation,
     flip_bit,
     sample_banded_theta,
     sample_sparse_theta,
@@ -49,46 +49,32 @@ def _failed(report):
     return [c.name for c in report.checks if not c.passed]
 
 
+def _f1_members(r: int, delta: float) -> list:
+    """The diagonal family's r+1 unit-scale members: I, then I less delta at each (ell, ell)."""
+    members = [np.eye(r)]
+    for ell in range(r):
+        member = np.eye(r)
+        member[ell, ell] -= delta
+        members.append(member)
+    return members
+
+
 class TestDiagonalFamily:
-    def test_member_count_and_separation(self):
-        spec = BandedFamilySpec(kind="f1", r=16, N=100, w=1.0, tau=0.01)
-        members = build_f1_banded(spec)
-        assert len(members) == 17
-        delta = np.linalg.norm(members[0] - members[1], 2)
-        assert delta == pytest.approx(
-            math.sqrt(0.01 * math.log(16) / 100), rel=1e-12
-        )
-        assert delta == pytest.approx(0.016651, abs=5e-7)
-
-    def test_unperturbed_member_is_scaled_identity(self):
-        spec = BandedFamilySpec(kind="f1", r=8, N=100, w=2.0, tau=0.01)
-        members = build_f1_banded(spec)
-        np.testing.assert_array_equal(members[0], 2.0 * np.eye(8))
-
-    def test_every_member_positive_definite(self):
-        spec = BandedFamilySpec(kind="f1", r=32, N=50, tau=0.01)
-        for member in build_f1_banded(spec):
-            assert np.linalg.eigvalsh(member).min() > 0.0
+    def test_separation_value(self):
+        assert diagonal_separation(16, 100, 0.01) == pytest.approx(0.016651, abs=5e-7)
 
     def test_requires_enough_samples(self):
-        with pytest.raises(UsageError):
-            BandedFamilySpec(kind="f1", r=256, N=5)
+        with pytest.raises(UsageError, match="N > log r"):
+            diagonal_separation(256, 5, 0.003)
 
-    @pytest.mark.parametrize("w, tau", [(1.0, 0.01), (2.0, 0.003), (0.5, 1e-6)])
-    def test_separation_is_the_distance_between_members(self, w, tau):
-        spec = BandedFamilySpec(kind="f1", r=16, N=100, w=w, tau=tau)
-        members = build_f1_banded(spec)
-        assert np.linalg.norm(members[0] - members[1], 2) == pytest.approx(
-            spec.separation, rel=1e-12
-        )
+    def test_separation_is_the_distance_between_members(self):
+        delta = diagonal_separation(16, 100, 0.01)
+        members = _f1_members(16, delta)
+        assert np.linalg.norm(members[0] - members[1], 2) == pytest.approx(delta, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["f2", "f3"])
-    def test_linked_families_have_no_separation(self, kind):
-        spec = _f2_spec() if kind == "f2" else _f3_spec()
-        with pytest.raises(UsageError):
-            spec.separation
-        with pytest.raises(UsageError):
-            build_f1_banded(spec)
+    def test_every_member_positive_definite(self):
+        for member in _f1_members(32, diagonal_separation(32, 50, 0.01)):
+            assert np.linalg.eigvalsh(member).min() > 0.0
 
 
 class TestLinkedBandedFamilies:
@@ -158,10 +144,6 @@ class TestLinkedBandedFamilies:
         with pytest.raises(UsageError):
             # 20 cells cannot tile a 2-d axis-aligned partition
             BandedFamilySpec(kind="f2", r=20, N=50, d=2, nu=_nu_table())
-        with pytest.raises(UsageError, match="no perturbation cells"):
-            # the diagonal family has no links to set
-            build_linked_banded(BandedFamilySpec(kind="f1", r=16, N=100, tau=0.01),
-                                ThetaIndex(bits=()))
 
     def test_theta_bits_validated(self):
         with pytest.raises(UsageError):
@@ -311,7 +293,7 @@ class TestSparseFamily:
         spec = _sparse_spec()
         for i in range(5):
             theta = sample_sparse_theta(spec, seed=7, index=i)
-            report = certify_sparse_membership(spec, theta, mc_samples=800, seed=i)
+            report = certify_sparse_membership(spec, theta, seed=i)
             assert _failed(report) == []
 
     def test_config_validation(self):
@@ -377,6 +359,12 @@ class TestAssouadTerms:
         # per-pair separation over Hamming distance is at least ell*eps/r
         assert report.alpha_min >= spec.ell * spec.eps / spec.r - 1e-12
 
+    def test_f1_spec_rejected(self):
+        # The diagonal family's bound needs only its separation, so it has no
+        # spec to build Assouad pairs from.
+        with pytest.raises(UsageError, match="unknown banded family kind 'f1'"):
+            BandedFamilySpec(kind="f1", r=16, N=100, tau=0.01, nu=_nu_table())
+
     def test_sparse_pairs_must_share_rows(self):
         spec = _sparse_spec()
         a = sample_sparse_theta(spec, seed=14, index=0)
@@ -385,12 +373,6 @@ class TestAssouadTerms:
             pytest.skip("sampled row patterns coincide")
         with pytest.raises(UsageError):
             assouad_terms(spec, [(a, b)])
-
-    def test_f1_spec_rejected(self):
-        spec = BandedFamilySpec(kind="f1", r=16, N=100)
-        theta = ThetaIndex(bits=(0,))
-        with pytest.raises(UsageError):
-            assouad_terms(spec, [(theta, flip_bit(theta, 0))])
 
     def test_identical_thetas_rejected(self):
         spec = _f2_spec()

@@ -166,6 +166,20 @@ class TestSampleCov:
             sample_cov(S).entries, [[1.0, 2.0], [2.0, 4.0]]
         )
 
+    def test_nested_list_gives_the_array_result(self):
+        np.testing.assert_array_equal(
+            sample_cov([[1.0, 2.0]]).entries, sample_cov(np.array([[1.0, 2.0]])).entries
+        )
+
+    @pytest.mark.parametrize(
+        "paths",
+        [np.zeros((0, 5)), np.zeros((3, 0)), np.zeros(5), np.zeros((2, 3, 4))],
+        ids=["no-rows", "no-columns", "1-D", "3-D"],
+    )
+    def test_paths_must_be_a_non_empty_2d_array(self, paths):
+        with pytest.raises(UsageError, match="non-empty"):
+            sample_cov(paths)
+
     def test_zero_paths_give_zero_matrix(self):
         S = np.zeros((3, 4))
         np.testing.assert_array_equal(sample_cov(S).entries, np.zeros((4, 4)))
