@@ -41,6 +41,7 @@ from .experiments import (
 from .grid_kernel import PiecewiseConstant, build_grid, discretize, shuffle_cov
 from .matrixio import dump_matrix
 from .minimax import (
+    DIAGONAL_TAU,
     BandedFamilySpec,
     SparseFamilySpec,
     assouad_terms,
@@ -84,7 +85,6 @@ _CONFIG_KEYS = {
     "sweep.d": (int, ExperimentConfig.d),
     "sweep.n_mult": (float, ExperimentConfig.n_mult),
     "sweep.base_seed": (int, ExperimentConfig.base_seed),
-    "sweep.norm_tol": (float, ExperimentConfig.norm_tol),
     "estimator.c0": (float, ExperimentConfig.c0),
 }
 
@@ -334,7 +334,8 @@ def cmd_minimax_check(args) -> int:
         raise UsageError("--tau applies to the banded families, not sparse")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    tau = args.tau if args.tau is not None else BandedFamilySpec.tau
+    default_tau = DIAGONAL_TAU if family == "f1" else BandedFamilySpec.tau
+    tau = args.tau if args.tau is not None else default_tau
     seed = _resolve_seed(args.seed)
     resolved = [
         ("minimax.class", family), ("minimax.r", r), ("minimax.N", N),
@@ -346,9 +347,9 @@ def cmd_minimax_check(args) -> int:
 
     if family == "f1":
         delta = diagonal_separation(r, N, tau)
-        # The family's checks in O(1): each member is I with one entry 1 - delta.
+        # The family's checks in O(1): each member is I with one O(1) entry 1 - delta.
         psd = delta < 1.0
-        exact = math.isclose(1.0 - (1.0 - delta), delta, rel_tol=1e-12)
+        exact = abs((1.0 - (1.0 - delta)) - delta) <= 1e-12
         _print_pairs([("family", "f1"), ("members", r + 1), ("separation", delta),
                       ("psd.pass", psd), ("separation_exact.pass", exact)])
         return 0 if psd and exact else 1
@@ -357,7 +358,6 @@ def cmd_minimax_check(args) -> int:
         spec = BandedFamilySpec(kind=family, r=r, N=N, tau=tau, nu=_minimax_nu())
         thetas = [sample_banded_theta(spec, seed, i) for i in range(args.samples)]
         reports = [certify_banded_membership(spec, t) for t in thetas]
-        bits = spec.gamma_N
     else:
         gamma2_cap = math.sqrt(2.0 * math.log(r + 1))
         spec = SparseFamilySpec(N=N, gamma2=gamma2_cap, **_SPARSE_DEFAULTS)
@@ -366,7 +366,6 @@ def cmd_minimax_check(args) -> int:
             certify_sparse_membership(spec, t, seed=_pair_seed(seed, 9000 + i))
             for i, t in enumerate(thetas)
         ]
-        bits = spec.r_star
 
     ok, report = _aggregate_reports(reports)
     _print_pairs(report)
@@ -376,7 +375,7 @@ def cmd_minimax_check(args) -> int:
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, 0xF11B, i)))
         )
-        for pos in gen.integers(0, bits, size=2):
+        for pos in gen.integers(0, len(theta.bits), size=2):
             pairs.append((theta, flip_bit(theta, int(pos))))
     assouad = assouad_terms(spec, pairs)
     _print_pairs([("pairs", len(pairs)), ("alpha_min", assouad.alpha_min),

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 import scipy.stats
@@ -136,7 +136,7 @@ class ExperimentConfig:
     n_mult: float = 5.0
     c0: float = 2.0
     base_seed: int = 0
-    norm_tol: float = 1e-6
+    norm_tol: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kernels", tuple(self.kernels))

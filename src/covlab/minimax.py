@@ -31,6 +31,7 @@ __all__ = [
     "CheckResult",
     "CertificateReport",
     "AssouadReport",
+    "DIAGONAL_TAU",
     "diagonal_separation",
     "build_linked_banded",
     "build_sparse_theta",
@@ -97,6 +98,10 @@ def _check_banded(r: int, N: int, d: int, tau: float) -> None:
     tau_cap = 4.0 ** (-(d + 1))
     if not (0.0 < tau < tau_cap):
         raise UsageError(f"tau must lie in (0, 4^-(d+1)) = (0, {tau_cap:g}), got {tau}")
+
+
+# Default tau of the diagonal family f1, kept apart from the linked families'.
+DIAGONAL_TAU = 0.003
 
 
 def diagonal_separation(r: int, N: int, tau: float) -> float:
@@ -207,7 +212,7 @@ class BandedFamilySpec:
 
 @dataclass(frozen=True)
 class ThetaIndex:
-    """Hypercube index for the banded families: one bit per active cell."""
+    """Hypercube index of every lower-bound family: one 0/1 bit per perturbation."""
 
     bits: tuple
 
@@ -362,19 +367,14 @@ class SparseFamilySpec:
 
 
 @dataclass(frozen=True)
-class SparseThetaIndex:
-    """Sparse hypercube index: active-row bits xi plus the row supports.
+class SparseThetaIndex(ThetaIndex):
+    """Sparse hypercube index: a bit per potential active row, plus row supports.
 
     rows[m] lists the ell support columns of potential active row m; all
     supports live in the last r_star coordinates of the r-block.
     """
 
-    xi: tuple
     rows: tuple
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.xi):
-            raise UsageError("xi bits must be 0/1")
 
 
 def _under_column_cap(spec: SparseFamilySpec, supports) -> bool:
@@ -384,10 +384,10 @@ def _under_column_cap(spec: SparseFamilySpec, supports) -> bool:
 
 
 def _validate_sparse_theta(spec: SparseFamilySpec, theta: SparseThetaIndex) -> None:
-    if len(theta.xi) != spec.r_star or len(theta.rows) != spec.r_star:
+    if len(theta.bits) != spec.r_star or len(theta.rows) != spec.r_star:
         raise UsageError(
             f"theta must carry {spec.r_star} bits and row supports, got "
-            f"{len(theta.xi)} and {len(theta.rows)}"
+            f"{len(theta.bits)} and {len(theta.rows)}"
         )
     lo = spec.r - spec.r_star
     supports = [sorted(set(int(c) for c in support)) for support in theta.rows]
@@ -413,7 +413,7 @@ def build_sparse_theta(spec: SparseFamilySpec, theta: SparseThetaIndex) -> np.nd
     _validate_sparse_theta(spec, theta)
     r = spec.r
     P = np.zeros((r, r), dtype=np.float64)
-    for m, (bit, support) in enumerate(zip(theta.xi, theta.rows)):
+    for m, (bit, support) in enumerate(zip(theta.bits, theta.rows)):
         if not bit:
             continue
         for c in support:
@@ -478,9 +478,9 @@ def sample_banded_theta(spec: BandedFamilySpec, seed: int, index: int) -> ThetaI
 
 
 def sample_sparse_theta(spec: SparseFamilySpec, seed: int, index: int) -> SparseThetaIndex:
-    """Uniform xi plus rejection-sampled supports meeting the column cap."""
+    """Uniform bits plus rejection-sampled supports meeting the column cap."""
     gen = _substream(seed, index)
-    xi = tuple(int(b) for b in gen.integers(0, 2, size=spec.r_star))
+    bits = tuple(int(b) for b in gen.integers(0, 2, size=spec.r_star))
     lo = spec.r - spec.r_star
     for _ in range(1000):
         rows = tuple(
@@ -489,23 +489,19 @@ def sample_sparse_theta(spec: SparseFamilySpec, seed: int, index: int) -> Sparse
             for _ in range(spec.r_star)
         )
         if _under_column_cap(spec, rows):
-            return SparseThetaIndex(xi=xi, rows=rows)
+            return SparseThetaIndex(bits=bits, rows=rows)
     raise NumericError("could not sample supports under the column cap in 1000 tries")
 
 
-def flip_bit(theta, position: int):
-    """Hamming-1 neighbor: flip one bit (xi bit for the sparse family)."""
-    if isinstance(theta, ThetaIndex):
-        key = "bits"
-    elif isinstance(theta, SparseThetaIndex):
-        key = "xi"
-    else:
+def flip_bit(theta: ThetaIndex, position: int) -> ThetaIndex:
+    """Hamming-1 neighbor: the same index with one bit flipped."""
+    if not isinstance(theta, ThetaIndex):
         raise UsageError(f"unknown theta type {type(theta).__name__}")
-    bits = list(getattr(theta, key))
+    bits = list(theta.bits)
     if not 0 <= position < len(bits):
         raise UsageError(f"bit position {position} outside 0..{len(bits) - 1}")
     bits[position] = 1 - bits[position]
-    return dataclasses.replace(theta, **{key: tuple(bits)})
+    return dataclasses.replace(theta, bits=tuple(bits))
 
 
 # ------------------------------------------------------------- Assouad ----
@@ -558,7 +554,7 @@ def _sparse_pair_data(spec: SparseFamilySpec, a: SparseThetaIndex, b: SparseThet
         raise UsageError("sparse pairs must share the same row supports")
     Sa = build_sparse_theta(spec, a)
     Sb = build_sparse_theta(spec, b)
-    h_bits = sum(x != y for x, y in zip(a.xi, b.xi))
+    h_bits = sum(x != y for x, y in zip(a.bits, b.bits))
     h_matrix = sum(
         1 for m in range(spec.r_star) if not np.array_equal(Sa[1 + m], Sb[1 + m])
     )

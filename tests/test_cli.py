@@ -420,6 +420,14 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
+    def test_norm_tol_is_not_a_setting(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path, **{"sweep.norm_tol": "1e-8"})
+        code, out, err = _run(
+            capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2 and out == ""
+        assert "unknown config key 'sweep.norm_tol'" in err
+
     def test_duplicate_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("kernel.list = se\nkernel.list = matern\n")
@@ -502,6 +510,14 @@ class TestMinimaxCheck:
         assert code == 2
         assert out.startswith("# resolved config\n") and "family=" not in out
         assert err == f"covlab: error: {message}\n"
+
+    def test_f1_default_tau_is_its_own(self, capsys, monkeypatch):
+        # The linked families' default tau does not move f1's report.
+        argv = ["minimax-check", "--class", "f1"]
+        before = _run(capsys, argv)
+        monkeypatch.setattr(BandedFamilySpec, "tau", 0.001)
+        assert _run(capsys, argv) == before
+        assert "minimax.tau=0.003\n" in before[1]
 
     def test_tau_rejected_for_sparse(self, capsys):
         code, _, err = _run(capsys, [
@@ -630,19 +646,17 @@ class TestOutputContract:
         assert report["tail_bound_m1.pass"] == "false"
         assert float(report["tail_bound_m1.worst_slack"]) < 0.0
 
-    def test_f1_separation_below_member_precision_prints_false_and_exits_1(self, capsys):
-        # At tau=1e-8 the member entry w - delta cannot carry delta (5.3e-6)
-        # to 12 digits; at tau=1e-6 it can.
+    def test_f1_separation_below_member_precision_passes(self, capsys):
+        # At tau=1e-8 the member entry 1 - delta carries delta (5.3e-6) to
+        # 4.8e-17 absolute, 9.1e-12 relative; the check is absolute, as the
+        # entries are O(1), so the family is valid at both taus.
         argv = ["minimax-check", "--class", "f1", "--r", "16", "--N", "1000", "--tau"]
-        code, out, err = _run(capsys, argv + ["1e-8"])
-        assert code == 1 and "numeric failure" not in err
-        report = _report(out, "minimax.")
-        assert [key for key, _ in report] == _minimax_keys("f1", 16, 1000)
-        assert dict(report)["separation_exact.pass"] == "false"
-        assert dict(report)["psd.pass"] == "true"
-        code, out, _ = _run(capsys, argv + ["1e-6"])
-        assert code == 0
-        assert {text for key, text in _report(out, "minimax.") if key.endswith(".pass")} == {"true"}
+        for tau in ("1e-8", "1e-6"):
+            code, out, err = _run(capsys, argv + [tau])
+            assert code == 0 and err == ""
+            report = _report(out, "minimax.")
+            assert [key for key, _ in report] == _minimax_keys("f1", 16, 1000)
+            assert {text for key, text in report if key.endswith(".pass")} == {"true"}
 
 
 class TestMemory:

@@ -1,6 +1,8 @@
 """Lower-bound parameter families: construction, membership, and pair bounds."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,10 +252,10 @@ class TestSparseFamily:
         )
         assert spec.ell >= 1
 
-    def test_zero_xi_block_structure(self):
+    def test_zero_bits_block_structure(self):
         spec = _sparse_spec()
         theta = sample_sparse_theta(spec, seed=1, index=0)
-        theta_off = type(theta)(xi=(0,) * len(theta.xi), rows=theta.rows)
+        theta_off = type(theta)(bits=(0,) * len(theta.bits), rows=theta.rows)
         Sigma = build_sparse_theta(spec, theta_off)
         want = np.diag([1.0] + [0.5] * spec.r)
         np.testing.assert_array_equal(Sigma, want)
@@ -262,7 +264,7 @@ class TestSparseFamily:
         spec = _sparse_spec()
         theta = sample_sparse_theta(spec, seed=2, index=0)
         Sigma = build_sparse_theta(spec, theta)
-        active = [m for m, bit in enumerate(theta.xi) if bit == 1]
+        active = [m for m, bit in enumerate(theta.bits) if bit == 1]
         assert active, "sampled theta should activate at least one row"
         for m in active:
             row = Sigma[1 + m].copy()
@@ -303,7 +305,34 @@ class TestSparseFamily:
             SparseFamilySpec(q=1.2, gamma1_q=3.0, gamma2=2.9, nu_const=0.02, N=7)
 
 
+def _sampled_theta(kind: str) -> ThetaIndex:
+    """A sampled index of the f2 family ('banded') or the sparse family."""
+    if kind == "banded":
+        return sample_banded_theta(_f2_spec(), seed=8, index=0)
+    return sample_sparse_theta(_sparse_spec(), seed=9, index=0)
+
+
 class TestFlipBit:
+    @pytest.mark.parametrize("kind", ["banded", "sparse"])
+    def test_bits_other_than_0_or_1_refused(self, kind):
+        theta = _sampled_theta(kind)
+        with pytest.raises(UsageError, match="theta bits must be 0/1"):
+            dataclasses.replace(theta, bits=(2,) + theta.bits[1:])
+
+    @pytest.mark.parametrize("kind", ["banded", "sparse"])
+    def test_flip_keeps_the_type_and_every_other_field(self, kind):
+        theta = _sampled_theta(kind)
+        other = flip_bit(theta, 0)
+        assert type(other) is type(theta)
+        assert sum(a != b for a, b in zip(theta.bits, other.bits)) == 1
+        assert dataclasses.replace(other, bits=theta.bits) == theta
+
+    @pytest.mark.parametrize("theta", [(0, 1, 0), SimpleNamespace(bits=(0, 1, 0))],
+                             ids=["tuple", "duck"])
+    def test_non_theta_refused(self, theta):
+        with pytest.raises(UsageError, match="unknown theta type"):
+            flip_bit(theta, 0)
+
     def test_banded_hamming_one(self):
         spec = _f2_spec()
         theta = sample_banded_theta(spec, seed=8, index=0)
@@ -317,7 +346,7 @@ class TestFlipBit:
         theta = sample_sparse_theta(spec, seed=9, index=0)
         other = flip_bit(theta, 0)
         assert other.rows == theta.rows
-        assert sum(a != b for a, b in zip(theta.xi, other.xi)) == 1
+        assert sum(a != b for a, b in zip(theta.bits, other.bits)) == 1
 
     def test_position_out_of_range(self):
         spec = _f2_spec()
