@@ -9,7 +9,6 @@ family certificates, and a reproducible sweep harness with CSV/SVG output.
 from .errors import CovlabError, NumericError, UsageError
 from .grid_kernel import (
     CovMatrix,
-    Grid,
     KernelSpec,
     Matern,
     Periodic,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UsageError
 from .diagnostics import NuSequence, m_star
-from .grid_kernel import CovMatrix, Grid, taper_weight_matrix
+from .grid_kernel import CovMatrix, taper_weight_matrix
 from .sampling import path_array
 
 __all__ = [
@@ -24,15 +24,15 @@ __all__ = [
 ]
 
 
-def taper_estimate(Chat: CovMatrix, kappa: float, grid: Grid) -> CovMatrix:
+def taper_estimate(Chat: CovMatrix, kappa: float, points: np.ndarray) -> CovMatrix:
     """Entrywise product of the estimate with the taper ramp at radius kappa.
 
     The diagonal is unchanged (the ramp is 1 at zero separation) and entries
     whose largest coordinate gap reaches 2*kappa are exactly zero.
     """
-    if Chat.n != grid.n:
-        raise UsageError(f"matrix size {Chat.n} does not match grid size {grid.n}")
-    weights = taper_weight_matrix(kappa, grid)
+    if Chat.n != len(points):
+        raise UsageError(f"matrix size {Chat.n} does not match grid size {len(points)}")
+    weights = taper_weight_matrix(kappa, points)
     weights *= Chat.entries
     return CovMatrix._derived(weights)  # the ramp is symmetric, in [0, 1]
 

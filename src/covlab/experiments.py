@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .errors import UsageError
 from .diagnostics import (
@@ -32,7 +32,6 @@ from .diagnostics import (
 from .estimators import adaptive_threshold, choose_kappa, taper_estimate, threshold_estimate
 from .grid_kernel import (
     CovMatrix,
-    Grid,
     KernelSpec,
     Matern,
     Periodic,
@@ -277,16 +276,17 @@ class Prep:
     """Shared per-(kernel, lengthscale) state: truth, factor, taper radius.
 
     form is the truth's tridiagonal form, held when ARPACK could not resolve
-    |C| (the truth needed a dense solve); the threshold errors of the cell
-    then come from it, and so does norm.  The form is that of the truth's
-    centrosymmetric fold when ``tridiagonal_form`` finds the truth
+    |C| (the truth needed a dense solve); the errors of the cell's few-row
+    estimates then come from it, and so does norm.  The form is that of the
+    truth's centrosymmetric fold when ``tridiagonal_form`` finds the truth
     centrosymmetric to rounding; C and factor keep the truth's own bits.  A
     permuted cell holds its unshuffled base truth.
     """
 
     kernel: str
     lam: float
-    grid: Grid
+    L: int  # grid points per axis
+    grid: np.ndarray  # the (L^d, d) grid points of ``build_grid``
     C: CovMatrix
     factor: object
     norm: float  # matrix norm of the truth, the divisor of every relative error
@@ -303,7 +303,7 @@ def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol
     quant = operator_quantities(C, tol=tol)
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
     return Prep(
-        kernel=template.name, lam=lam, grid=grid, C=C, factor=factor,
+        kernel=template.name, lam=lam, L=L, grid=grid, C=C, factor=factor,
         norm=quant.op_norm / C.h, kappa=kappa, N=N, tol=tol,
         form=quant.form,
     )
@@ -339,16 +339,30 @@ def simulate_trial(
         Chat = sample_cov(paths)
     matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
 
-    def error(est: CovMatrix) -> float:  # |est - truth|; a difference of CovMatrix needs no check
-        diff = CovMatrix._derived(est.entries - truth.entries)
+    def error(est: CovMatrix) -> float:
+        """|est - truth| / |truth|: a low-rank update of the truth's tridiagonal
+        form when the prep holds one and est has at most LOWRANK_MAX_RANK
+        nonzero rows (perm maps them to the base truth), else spectral_norm."""
+        e, rows = est.entries, None
+        # A nonzero diagonal entry marks a nonzero row: the O(n^2) row scan
+        # runs only once the diagonal alone fits under the cap.
+        if prep.form is not None and np.count_nonzero(np.diagonal(e)) <= LOWRANK_MAX_RANK:
+            rows = np.flatnonzero(e.any(axis=1))
+        lowrank = rows is not None and rows.size <= LOWRANK_MAX_RANK
+        if lowrank:
+            block = e[np.ix_(rows, rows)]
+        else:
+            diff = CovMatrix._derived(e - truth.entries)
         with _BLAS_TURN:
-            return spectral_norm(diff, tol=prep.tol)
+            norm = (lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
+                    if lowrank else spectral_norm(diff, tol=prep.tol))
+        return norm / prep.norm
 
-    err = {"sample": error(Chat) / prep.norm}
+    err = {"sample": error(Chat)}
     rho_hat = None
     if "taper" in estimators:
         est = taper_estimate(Chat, prep.kappa, prep.grid)
-        err["taper"] = error(est) / prep.norm
+        err["taper"] = error(est)
         if keep_matrices:
             matrices["taper"] = est
         del est
@@ -361,29 +375,16 @@ def simulate_trial(
         # zero.  The record still carries the raw level.
         est = threshold_estimate(Chat, max(rho_hat, 0.0))
         del Chat  # the sample estimate is not needed past this point
-        err["threshold"] = _threshold_error_norm(prep, est, perm, error) / prep.norm
+        err["threshold"] = error(est)
         if keep_matrices:
             matrices["threshold"] = est
     record = TrialRecord(
-        kernel=prep.kernel, lam=prep.lam, d=prep.grid.d, L=prep.grid.L, N=prep.N,
+        kernel=prep.kernel, lam=prep.lam, d=prep.grid.shape[1], L=prep.L, N=prep.N,
         trial=trial, seed=draw_seed, kappa=prep.kappa, rho_hat=rho_hat,
         err_sample=err["sample"], err_taper=err.get("taper"),
         err_thresh=err.get("threshold"),
     )
     return record, matrices
-
-
-def _threshold_error_norm(prep: Prep, est: CovMatrix, perm, error) -> float:
-    """|est - truth|, from the prep's tridiagonal form when it holds one and
-    the estimate keeps at most LOWRANK_MAX_RANK rows, else error(est); perm
-    maps the rows of a shuffled truth to its base."""
-    if prep.form is not None:
-        rows = np.flatnonzero(est.entries.any(axis=1))
-        if rows.size <= LOWRANK_MAX_RANK:
-            block = est.entries[np.ix_(rows, rows)]
-            with _BLAS_TURN:
-                return lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
-    return error(est)
 
 
 def run_trial(
@@ -501,7 +502,7 @@ def summarize(records: Sequence[TrialRecord]) -> list:
             vals = np.array([getattr(r, f"err_{suffix}") for r in recs], dtype=np.float64)
             stats[f"mean_{suffix}"] = float(np.mean(vals))
             stats[f"ci_{suffix}"] = None if T < 2 else float(
-                scipy.stats.t.ppf(0.975, T - 1) * float(np.std(vals, ddof=1)) / math.sqrt(T)
+                scipy.special.stdtrit(T - 1, 0.975) * float(np.std(vals, ddof=1)) / math.sqrt(T)
             )
         rows.append(SummaryRow(kernel=kernel, lam=lam, N=Ns.pop(), trials=T, **stats))
     rows.sort(key=lambda r: (r.kernel, r.lam))

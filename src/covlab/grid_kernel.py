@@ -21,7 +21,6 @@ import numpy as np
 from .errors import UsageError
 
 __all__ = [
-    "Grid",
     "SquaredExponential",
     "Matern",
     "Periodic",
@@ -43,25 +42,12 @@ __all__ = [
 # ---------------------------------------------------------------- grid ----
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform endpoint-aligned grid on [0,1]^d.
+def build_grid(d: int, L: int) -> np.ndarray:
+    """The read-only (L^d, d) float64 points of the uniform grid on [0,1]^d.
 
     Point number i carries coordinates (i_1/(L-1), ..., i_d/(L-1)) where the
     multi-index (i_1, ..., i_d) runs in row-major order (last axis fastest).
     """
-
-    d: int
-    L: int
-    points: np.ndarray  # (n, d) read-only float64
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
-def build_grid(d: int, L: int) -> Grid:
-    """Build the uniform grid with L points per axis in d dimensions."""
     if d < 1:
         raise UsageError(f"grid dimension must be >= 1, got d={d}")
     if L < 2:
@@ -84,7 +70,7 @@ def build_grid(d: int, L: int) -> Grid:
         mesh = np.meshgrid(*([axis] * d), indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     pts.setflags(write=False)
-    return Grid(d=d, L=L, points=pts)
+    return pts
 
 
 # ------------------------------------------------------------- kernels ----
@@ -294,16 +280,16 @@ def _pwc_cells_for_grid(M: int, n: int) -> np.ndarray:
     return np.repeat(np.arange(M, dtype=np.int64), n // M)
 
 
-def discretize(spec: KernelSpec, grid: Grid) -> CovMatrix:
-    """Evaluate the kernel on all grid point pairs.
+def discretize(spec: KernelSpec, points: np.ndarray) -> CovMatrix:
+    """Evaluate the kernel on all pairs of grid points (a ``build_grid`` array).
 
     The output is exactly symmetric: every construction path below computes
     entry (i, j) and entry (j, i) from bitwise-identical expressions.
     """
     if isinstance(spec, PiecewiseConstant):
-        cells = _pwc_cells_for_grid(spec.cells, grid.n)
+        cells = _pwc_cells_for_grid(spec.cells, len(points))
         return CovMatrix(entries=spec.values[np.ix_(cells, cells)])
-    return CovMatrix(entries=spec.of_sqdist(_pairwise_sqdist(grid.points)))
+    return CovMatrix(entries=spec.of_sqdist(_pairwise_sqdist(points)))
 
 
 # ------------------------------------------------------------- tapering ----
@@ -339,14 +325,13 @@ def taper_weight_sumform(kappa: float, x, y) -> float:
     return total / kappa**d
 
 
-def taper_weight_matrix(kappa: float, grid: Grid) -> np.ndarray:
-    """All-pairs taper weights on a grid, one (n, n) block per axis."""
+def taper_weight_matrix(kappa: float, points: np.ndarray) -> np.ndarray:
+    """All-pairs taper weights on grid points, one (n, n) block per axis."""
     _check_taper_radius(kappa)
     # Built in place: the first axis's ramp becomes the result, and each
     # later axis reuses one scratch array.
     w = t = None
-    for k in range(grid.d):
-        x = grid.points[:, k]
+    for x in points.T:
         t = np.subtract(x[:, None], x[None, :], out=t)
         np.abs(t, out=t)
         np.subtract(2.0 * kappa, t, out=t)
@@ -362,7 +347,7 @@ def taper_weight_matrix(kappa: float, grid: Grid) -> np.ndarray:
 # ------------------------------------------------------------ lift check ----
 
 
-def lift_matrix_norm_check(Sigma: np.ndarray, grid: Grid) -> tuple[float, float, float]:
+def lift_matrix_norm_check(Sigma: np.ndarray, points: np.ndarray) -> tuple[float, float, float]:
     """Check the lift identity: operator norm of the lifted kernel = |Sigma|/M.
 
     Returns (lifted operator norm, |Sigma|/M, relative difference).  Exact on
@@ -370,7 +355,7 @@ def lift_matrix_norm_check(Sigma: np.ndarray, grid: Grid) -> tuple[float, float,
     """
     spec = PiecewiseConstant(values=np.asarray(Sigma, dtype=np.float64))
     M = spec.cells
-    lifted = discretize(spec, grid)
+    lifted = discretize(spec, points)
     lift_norm = lifted.h * float(np.max(np.abs(np.linalg.eigvalsh(lifted.entries))))
     block_norm = float(np.max(np.abs(np.linalg.eigvalsh(spec.values)))) / M
     denom = max(abs(block_norm), np.finfo(np.float64).tiny)

@@ -134,8 +134,6 @@ def _render_kernel(kernel: str, rows) -> str:
         raise UsageError(f"kernel {kernel!r} has no positive error values to plot")
     floor = min(ys) / 1.5
     ylo, yhi = math.log10(floor), math.log10(max(ys) * 1.5)
-    if yhi - ylo < 1e-12:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
 
     n_max = max(r.N for r in rows)
     n_hi = max(1.0, 1.2 * n_max)

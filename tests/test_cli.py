@@ -3,7 +3,10 @@
 import argparse
 import csv
 import gc
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -767,3 +770,18 @@ class TestHeader:
             wanted.discard("tau")
             assert "tau" not in header
         assert wanted <= header
+
+
+class TestImport:
+    def test_the_cli_does_not_import_scipy_stats(self):
+        # scipy.stats alone added about 0.3-0.5 s to every covlab process's
+        # start; the summary's Student-t quantile comes from scipy.special.
+        src = str(Path(covlab.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, covlab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

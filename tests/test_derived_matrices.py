@@ -22,7 +22,7 @@ def _checked_on_grid(draw, count=1):
     """(grid at d=1 or 2, count checked CovMatrix of its size)."""
     d = draw(st.sampled_from((1, 2)))
     grid = build_grid(d, draw(st.integers(2, 8 if d == 1 else 4)))
-    n = grid.n
+    n = len(grid)
     lower = np.tri(n, dtype=bool)
     mats = []
     for _ in range(count):

@@ -55,12 +55,12 @@ class TestTaperEstimate:
         out = taper_estimate(Chat, kappa, g)
         for i in range(9):
             for j in range(9):
-                gap = abs(g.points[i, 0] - g.points[j, 0])
+                gap = abs(g[i, 0] - g[j, 0])
                 if gap >= 2 * kappa:
                     assert out.entries[i, j] == 0.0
                 else:
                     want = Chat.entries[i, j] * taper_weight(
-                        kappa, g.points[i], g.points[j]
+                        kappa, g[i], g[j]
                     )
                     assert out.entries[i, j] == want
 
@@ -75,7 +75,7 @@ class TestTaperEstimate:
         np.testing.assert_array_equal(once.entries, once.entries.T)
         twice = taper_estimate(once, 0.5, g)
         plateau = np.abs(
-            g.points[:, None, :] - g.points[None, :, :]
+            g[:, None, :] - g[None, :, :]
         ).max(axis=2) <= 0.5
         np.testing.assert_array_equal(
             twice.entries[plateau], once.entries[plateau]

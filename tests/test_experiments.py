@@ -353,6 +353,37 @@ class TestTridiagonalFormCells:
         assert [(r.rho_hat, r.kappa, r.seed) for r in split] == [
             (r.rho_hat, r.kappa, r.seed) for r in dense]
 
+    @pytest.mark.parametrize("kernel", ["se", "permuted"])
+    def test_any_estimate_of_few_rows_is_normed_from_the_form(self, kernel, monkeypatch):
+        # The norm's route follows the estimate's nonzero rows, not the
+        # estimator that built it: a taper estimate of three rows takes the
+        # form as the threshold estimate does.
+        cfg = _cfg(kernels=(KernelTemplate(kernel),), lambda_grid=(_FORM_LAM,), L=_FORM_L)
+        prep = build_prep(cfg.kernels[0], _FORM_LAM, cfg.L, 1, n_for_lambda(cfg, _FORM_LAM),
+                          cfg.norm_tol)
+
+        def three_rows(Chat, kappa, grid):
+            keep = np.ix_([3, 50, 120], [3, 50, 120])
+            entries = np.zeros_like(Chat.entries)
+            entries[keep] = Chat.entries[keep]
+            return CovMatrix(entries)
+
+        ranks = []
+        real = expmod.lowrank_update_norm
+
+        def counted(form, rows, block):
+            ranks.append(rows.size)
+            return real(form, rows, block)
+
+        monkeypatch.setattr(expmod, "taper_estimate", three_rows)
+        monkeypatch.setattr(expmod, "lowrank_update_norm", counted)
+        draw_seed, shuffle_seed = trial_seed(cfg, 0, 0, 0)
+        rec, mats = simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0)
+        truth = mats["truth"].entries
+        dense = _dense_norm(mats["taper"].entries - truth) / _dense_norm(truth)
+        assert rec.err_taper == pytest.approx(dense, rel=1e-13)
+        assert ranks[0] == 3 and len(ranks) == 2  # the taper's, then the threshold's
+
     def test_rank_above_the_cap_takes_the_spectral_norm(self, monkeypatch):
         cfg = _cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L, trials=2)
         lowrank = run_sweep(cfg).records

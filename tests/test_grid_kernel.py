@@ -30,15 +30,15 @@ from helpers import random_psd, traced_peak_bytes
 class TestGrid:
     def test_build_grid_d1(self):
         g = build_grid(1, 5)
-        assert g.n == 5
-        assert CovMatrix(np.eye(g.n)).h == pytest.approx(1 / 5)
-        np.testing.assert_allclose(g.points[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert g.shape == (5, 1)
+        assert CovMatrix(np.eye(len(g))).h == pytest.approx(1 / 5)
+        np.testing.assert_allclose(g[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_build_grid_d2_has_product_points(self):
         g = build_grid(2, 3)
-        assert g.n == 9
-        assert CovMatrix(np.eye(g.n)).h == pytest.approx(1 / 9)
-        coords = set(map(tuple, g.points))
+        assert g.shape == (9, 2)
+        assert CovMatrix(np.eye(len(g))).h == pytest.approx(1 / 9)
+        coords = set(map(tuple, g))
         axis = (0.0, 0.5, 1.0)
         assert coords == {(a, b) for a in axis for b in axis}
 
@@ -102,19 +102,19 @@ class TestTaperWeight:
     def test_weight_matrix_matches_scalar_calls(self):
         g = build_grid(2, 3)
         W = taper_weight_matrix(0.4, g)
-        for i in range(g.n):
-            for j in range(g.n):
+        for i in range(len(g)):
+            for j in range(len(g)):
                 assert W[i, j] == pytest.approx(
-                    taper_weight(0.4, g.points[i], g.points[j]), abs=1e-15
+                    taper_weight(0.4, g[i], g[j]), abs=1e-15
                 )
         np.testing.assert_array_equal(W, W.T)
-        np.testing.assert_array_equal(np.diag(W), np.ones(g.n))
+        np.testing.assert_array_equal(np.diag(W), np.ones(len(g)))
 
     @pytest.mark.parametrize("d,L", [(1, 600), (2, 24)])
     def test_weight_matrix_allocates_at_most_one_matrix_beyond_its_result(self, d, L):
         g = build_grid(d, L)
         peak = traced_peak_bytes(lambda: taper_weight_matrix(0.1, g))
-        assert peak <= 2.5 * g.n * g.n * 8
+        assert peak <= 2.5 * len(g) * len(g) * 8
 
 
 class TestKernels:
@@ -175,7 +175,7 @@ class TestDiscretize:
         for i in range(6):
             for j in range(6):
                 assert C.entries[i, j] == pytest.approx(
-                    eval_kernel(k, g.points[i], g.points[j]), abs=1e-15
+                    eval_kernel(k, g[i], g[j]), abs=1e-15
                 )
 
     def test_exact_symmetry_and_unit_diagonal(self):
@@ -220,9 +220,9 @@ _STATIONARY = st.one_of(
 def test_eval_kernel_is_bitwise_the_discretized_entry(spec, d, L):
     g = build_grid(d, L)
     C = discretize(spec, g)
-    for i in range(g.n):
-        for j in range(g.n):
-            assert eval_kernel(spec, g.points[i], g.points[j]) == C.entries[i, j]
+    for i in range(len(g)):
+        for j in range(len(g)):
+            assert eval_kernel(spec, g[i], g[j]) == C.entries[i, j]
 
 
 class TestPiecewiseConstant:
@@ -230,9 +230,23 @@ class TestPiecewiseConstant:
         values = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
         g = build_grid(1, 9)
         C = discretize(PiecewiseConstant(values), g)
-        cells = np.minimum((g.points[:, 0] * 3).astype(int), 2)
+        cells = np.minimum((g[:, 0] * 3).astype(int), 2)
         expected = values[np.ix_(cells, cells)]
         np.testing.assert_array_equal(C.entries, expected)
+
+    @pytest.mark.parametrize("M, L", [(3, 12), (7, 21), (10, 40), (5, 100), (4, 64)])
+    def test_eval_kernel_is_bitwise_the_lifted_entry(self, M, L):
+        spec = PiecewiseConstant(random_psd(np.random.default_rng(M), M))
+        g = build_grid(1, L)
+        C = discretize(spec, g)
+        for i in range(L):
+            for j in range(L):
+                assert eval_kernel(spec, g[i], g[j]) == C.entries[i, j]
+
+    def test_eval_kernel_refuses_points_beyond_d1(self):
+        spec = PiecewiseConstant(np.eye(2))
+        with pytest.raises(UsageError, match="only for d=1"):
+            eval_kernel(spec, [0.1, 0.2], [0.3, 0.4])
 
     def test_lift_norm_identity(self):
         rng = np.random.default_rng(23)
