@@ -20,7 +20,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.special
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import NumericError, UsageError
 from .grid_kernel import CovMatrix, KernelSpec, Matern, SquaredExponential
@@ -87,24 +87,48 @@ def _symmetric(A, name: str) -> np.ndarray:
     return A
 
 
-def _arpack_top(A: np.ndarray, tol: float) -> Optional[float]:
-    """|top eigenvalue| of an exactly symmetric A from ARPACK, or None when
-    ARPACK does not converge within max(10, n/160) restarts."""
+# ARPACK gets max(10, n // divisor) restarts before a dense solve; a restart
+# costs 10 to 19 matvecs at scipy's default ncv=20.  A tightly clustered top
+# of the spectrum can keep ARPACK restarting for thousands of matvecs, where a
+# dense solve costs a few hundred at n=1250, so a matrix gets about
+# max(100, n/16) matvecs.  A difference operator's matvec costs far less than
+# a pass over an n x n matrix, so it gets four times the restarts: the
+# clustered-top threshold errors of the figure sweep need up to about 240
+# matvecs at n=1250.
+_MATRIX_RESTART_DIVISOR = 160
+_OPERATOR_RESTART_DIVISOR = 40
+
+
+def _arpack_top(A, tol: float, divisor: int = _MATRIX_RESTART_DIVISOR) -> Optional[float]:
+    """|top eigenvalue| of an exactly symmetric A (an array or a
+    ``LinearOperator``) from ARPACK, or None when ARPACK does not converge
+    within max(10, n // divisor) restarts."""
     n = A.shape[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((_LANCZOS_SEED, n))))
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-    # A tightly clustered top of the spectrum can keep ARPACK restarting for
-    # thousands of matvecs, where a dense solve costs a few hundred at
-    # n=1250.  A restart costs 10 to 19 matvecs at scipy's default ncv=20,
-    # so the cap allows about max(100, n/16) matvecs before falling back.
     try:
         top = eigsh(
-            A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // 160),
+            A, k=1, which="LM", tol=tol, v0=v0, maxiter=max(10, n // divisor),
             return_eigenvectors=False,
         )
     except ArpackError:  # no convergence, or error -9 on an all-zero A
         return None
     return float(abs(top[0]))
+
+
+@dataclass(frozen=True, eq=False)
+class _DifferenceOperator:
+    """An estimate minus the truth, E - C, given by its action on vectors.
+
+    ``matvec(v)`` returns (E - C) v for a length-n vector v; it must be the
+    action of a symmetric matrix to rounding.  ``dense()`` returns E - C as an
+    exactly symmetric (n, n) array; ``spectral_norm`` calls it only for a
+    dense solve.
+    """
+
+    n: int
+    matvec: Callable[[np.ndarray], np.ndarray]
+    dense: Callable[[], np.ndarray]
 
 
 def _check_tol(tol: float) -> None:
@@ -113,7 +137,7 @@ def _check_tol(tol: float) -> None:
 
 
 def spectral_norm(
-    A: np.ndarray | CovMatrix,
+    A: np.ndarray | CovMatrix | _DifferenceOperator,
     tol: float = 1e-9,
     *,
     method: str = "auto",
@@ -132,19 +156,27 @@ def spectral_norm(
     to n=256 and iterates above; 'arpack' and 'dense' force one path.  An
     array must be square, finite and symmetric to within 1e-12 of its largest
     entry, and its last-bit asymmetry is folded in; a CovMatrix is not
-    checked again.
+    checked again.  A trial's error operator (``_DifferenceOperator``) is
+    iterated through its matvec with max(10, n/40) restarts and is formed
+    with its ``dense()`` only for the dense solve.
     """
     if method not in ("auto", "arpack", "dense"):
         raise UsageError(f"unknown method {method!r}")
     _check_tol(tol)
-    A = _symmetric(A, "matrix")
-    n = A.shape[0]
+    if isinstance(A, _DifferenceOperator):
+        n, divisor = A.n, _OPERATOR_RESTART_DIVISOR
+        op = LinearOperator((n, n), matvec=A.matvec, dtype=np.float64)
+    else:
+        A = op = _symmetric(A, "matrix")
+        n, divisor = A.shape[0], _MATRIX_RESTART_DIVISOR
     if n == 0:
         return 0.0
     if n > 1 and method != "dense" and (method == "arpack" or n > _DENSE_CUTOFF):
-        top = _arpack_top(A, tol)
+        top = _arpack_top(op, tol, divisor)
         if top is not None:
             return top
+    if isinstance(A, _DifferenceOperator):
+        A = A.dense()
     return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 

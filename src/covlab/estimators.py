@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UsageError
 from .diagnostics import NuSequence, m_star
-from .grid_kernel import CovMatrix, taper_weight_matrix
+from .grid_kernel import CovMatrix, _check_taper_radius, taper_weight_matrix
 from .sampling import path_array
 
 __all__ = [
@@ -28,19 +28,29 @@ def taper_estimate(Chat: CovMatrix, kappa: float, points: np.ndarray) -> CovMatr
     """Entrywise product of the estimate with the taper ramp at radius kappa.
 
     The diagonal is unchanged (the ramp is 1 at zero separation) and entries
-    whose largest coordinate gap reaches 2*kappa are exactly zero.
+    whose largest coordinate gap reaches 2*kappa are exactly zero.  A radius
+    at or above every coordinate gap makes every weight 1, and Chat itself is
+    returned.
     """
     if Chat.n != len(points):
         raise UsageError(f"matrix size {Chat.n} does not match grid size {len(points)}")
+    _check_taper_radius(kappa)
+    if kappa >= float(np.max(np.ptp(points, axis=0))):
+        return Chat
     weights = taper_weight_matrix(kappa, points)
     weights *= Chat.entries
     return CovMatrix._derived(weights)  # the ramp is symmetric, in [0, 1]
 
 
 def threshold_estimate(Chat: CovMatrix, rho: float) -> CovMatrix:
-    """Hard thresholding: keep entries with |entry| >= rho (ties kept)."""
+    """Hard thresholding: keep entries with |entry| >= rho (ties kept).
+
+    Level zero keeps every entry, and Chat itself is returned.
+    """
     if rho < 0:
         raise UsageError(f"threshold level must be >= 0, got {rho}")
+    if rho == 0:
+        return Chat
     kept = np.abs(Chat.entries)
     np.greater_equal(kept, rho, out=kept)
     kept *= Chat.entries  # entry * (|entry| >= rho): a dropped negative entry is -0.0

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 import scipy.special
 
 from .errors import UsageError
@@ -25,6 +26,7 @@ from .diagnostics import (
     LOWRANK_MAX_RANK,
     NuSequence,
     TridiagonalForm,
+    _DifferenceOperator,
     lowrank_update_norm,
     operator_quantities,
     spectral_norm,
@@ -38,6 +40,7 @@ from .grid_kernel import (
     SquaredExponential,
     build_grid,
     discretize,
+    fisher_yates_permutation,
     shuffle_cov,
 )
 from .sampling import cholesky_psd, draw_paths, sample_cov
@@ -125,6 +128,8 @@ class ExperimentConfig:
     about linear (tol 1e-6 gave 1.1e-9, about 9 digits).  A norm that does
     not converge within the restart cap comes from a dense solve instead;
     when that happens to the truth, its threshold errors are exact (see Prep).
+    Error norms are taken of est - truth as an operator, never formed
+    unless ARPACK gives up, with four times a matrix's restart cap.
     """
 
     kernels: tuple
@@ -280,7 +285,10 @@ class Prep:
     estimates then come from it, and so does norm.  The form is that of the
     truth's centrosymmetric fold when ``tridiagonal_form`` finds the truth
     centrosymmetric to rounding; C and factor keep the truth's own bits.  A
-    permuted cell holds its unshuffled base truth.
+    permuted cell holds its unshuffled base truth.  At d=1, symbol is the
+    real FFT of the circulant embedding (length 2n) of C's first column:
+    the truth is Toeplitz there (to rounding), and the error norms apply it
+    as a circular convolution instead of reading C.
     """
 
     kernel: str
@@ -294,6 +302,7 @@ class Prep:
     N: int
     tol: float  # residual tolerance of every spectral norm
     form: Optional[TridiagonalForm] = field(default=None, repr=False)
+    symbol: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol: float) -> Prep:
@@ -302,10 +311,14 @@ def build_prep(template: KernelTemplate, lam: float, L: int, d: int, N: int, tol
     factor = cholesky_psd(C)
     quant = operator_quantities(C, tol=tol)
     kappa = choose_kappa(nu_for(template.name, template.nu_source, d, template.smoothness), N, d, lam)
+    symbol = None
+    if d == 1:
+        column = C.entries[:, 0]
+        symbol = np.fft.rfft(np.concatenate([column, [0.0], column[:0:-1]])).real
     return Prep(
         kernel=template.name, lam=lam, L=L, grid=grid, C=C, factor=factor,
         norm=quant.op_norm / C.h, kappa=kappa, N=N, tol=tol,
-        form=quant.form,
+        form=quant.form, symbol=symbol,
     )
 
 
@@ -325,37 +338,63 @@ def simulate_trial(
     record's fields of estimators not run are None.  Each estimate is scored
     as soon as it is built, so without keep_matrices none outlives its
     score.  The permuted kernel shuffles path coordinates of the base draw,
-    which has the law of factoring the shuffled matrix directly.
+    which has the law of factoring the shuffled matrix directly; its
+    shuffled truth is built only for matrices or for a dense solve.
     """
     with _BLAS_TURN:
         base = draw_paths(prep.factor, prep.N, draw_seed)
-    if prep.kernel == "permuted":
-        truth, perm = shuffle_cov(prep.C, shuffle_seed)
-        paths = base[:, perm]
-    else:
-        truth, paths, perm = prep.C, base, None
+    n = prep.C.n
+    perm = fisher_yates_permutation(n, shuffle_seed) if prep.kernel == "permuted" else None
+    paths = base if perm is None else base[:, perm]
+
+    def truth() -> CovMatrix:
+        return prep.C if perm is None else shuffle_cov(prep.C, shuffle_seed)[0]
+
+    def truth_times(v: np.ndarray) -> np.ndarray:
+        """truth() @ v without forming it: the base truth (by its FFT symbol
+        at d=1) between a scatter and a gather by perm."""
+        if perm is not None:
+            v, scattered = np.zeros(n), v
+            v[perm] = scattered
+        if prep.symbol is None:
+            out = prep.C.entries @ v
+        else:
+            out = np.fft.irfft(prep.symbol * np.fft.rfft(v, 2 * n), 2 * n)[:n]
+        return out if perm is None else out[perm]
 
     with _BLAS_TURN:
         Chat = sample_cov(paths)
-    matrices = {"truth": truth, "sample": Chat} if keep_matrices else {}
+    matrices = {"truth": truth(), "sample": Chat} if keep_matrices else {}
 
     def error(est: CovMatrix) -> float:
         """|est - truth| / |truth|: a low-rank update of the truth's tridiagonal
         form when the prep holds one and est has at most LOWRANK_MAX_RANK
-        nonzero rows (perm maps them to the base truth), else spectral_norm."""
+        nonzero rows (perm maps them to the base truth), else spectral_norm
+        of est - truth as an operator.  Its est term is P^T (P v) / N from
+        the paths P for the Gram itself, a CSR product for an est with at
+        most n^2/8 nonzeros and the dense product otherwise."""
         e, rows = est.entries, None
         # A nonzero diagonal entry marks a nonzero row: the O(n^2) row scan
         # runs only once the diagonal alone fits under the cap.
         if prep.form is not None and np.count_nonzero(np.diagonal(e)) <= LOWRANK_MAX_RANK:
             rows = np.flatnonzero(e.any(axis=1))
-        lowrank = rows is not None and rows.size <= LOWRANK_MAX_RANK
-        if lowrank:
+        if rows is not None and rows.size <= LOWRANK_MAX_RANK:
             block = e[np.ix_(rows, rows)]
+            with _BLAS_TURN:
+                norm = lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
+            return norm / prep.norm
+        if est is Chat:
+            est_times = lambda v: paths.T @ (paths @ v) / prep.N
+        elif np.count_nonzero(e) <= n * n // 8:
+            est_times = scipy.sparse.csr_array(e).__matmul__
         else:
-            diff = CovMatrix._derived(e - truth.entries)
+            est_times = e.__matmul__
+        op = _DifferenceOperator(
+            n=n, matvec=lambda v: est_times(v) - truth_times(v),
+            dense=lambda: e - truth().entries,
+        )
         with _BLAS_TURN:
-            norm = (lowrank_update_norm(prep.form, rows if perm is None else perm[rows], block)
-                    if lowrank else spectral_norm(diff, tol=prep.tol))
+            norm = spectral_norm(op, tol=prep.tol)
         return norm / prep.norm
 
     err = {"sample": error(Chat)}
@@ -374,7 +413,6 @@ def simulate_trial(
         # level then keeps every entry, so the estimate coincides with level
         # zero.  The record still carries the raw level.
         est = threshold_estimate(Chat, max(rho_hat, 0.0))
-        del Chat  # the sample estimate is not needed past this point
         err["threshold"] = error(est)
         if keep_matrices:
             matrices["threshold"] = est

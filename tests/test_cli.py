@@ -25,6 +25,7 @@ from covlab import (
     build_grid,
     cholesky_psd,
     discretize,
+    fisher_yates_permutation,
     gamma1,
     gamma2,
     load_matrix,
@@ -207,6 +208,21 @@ class TestEstimate:
         assert code == 0
         names = sorted(p.name for p in dump.iterdir())
         assert names == ["sample.covm", "taper.covm", "truth.covm"]
+
+    def test_permuted_dump_holds_the_shuffled_truth(self, capsys, tmp_path):
+        # Trials apply the permuted truth through a scatter and a gather and
+        # never form it; a dump still writes C[perm][:, perm] of the seeded
+        # Fisher-Yates permutation, bit for bit.
+        dump = tmp_path / "mats"
+        code, _, _ = _run(capsys, [
+            "estimate", "--kernel", "permuted", "--lambda", "0.05", "--L", "300",
+            "--N", "10", "--estimator", "all", "--seed", "5", "--dump-matrices", str(dump),
+        ])
+        assert code == 0
+        shuffle_seed = int(np.random.SeedSequence((5, 1)).generate_state(1, np.uint64)[0])
+        perm = fisher_yates_permutation(300, shuffle_seed)
+        base = discretize(SquaredExponential(0.05), build_grid(1, 300)).entries
+        assert np.array_equal(load_matrix(dump / "truth.covm"), base[np.ix_(perm, perm)])
 
     def test_zero_samples_is_usage_error(self, capsys):
         code, _, err = _run(capsys, [

@@ -194,6 +194,61 @@ class TestSpectralNorm:
         assert spectral_norm(A, method="auto") == dense
 
 
+class TestDifferenceOperator:
+    """spectral_norm of a trial's error operator: a matvec, its size and a
+    dense() formed only for a dense solve."""
+
+    @staticmethod
+    def _operator(A, log):
+        def matvec(v):
+            log.append("matvec")
+            return A @ v
+
+        def dense():
+            log.append("dense")
+            return A
+
+        return covlab.diagnostics._DifferenceOperator(n=A.shape[0], matvec=matvec, dense=dense)
+
+    @pytest.mark.parametrize("n, method, route", [
+        (200, "auto", "dense"), (400, "auto", "matvec"), (400, "dense", "dense"),
+        (200, "arpack", "matvec"),
+    ])
+    def test_routes_and_values(self, n, method, route):
+        A = random_symmetric(np.random.default_rng(n), n)
+        log = []
+        got = spectral_norm(self._operator(A, log), tol=1e-9, method=method)
+        assert set(log) == {route}
+        assert got == pytest.approx(spectral_norm(A, tol=1e-9, method=method), rel=1e-9)
+
+    def test_dense_fallback_forms_the_difference_once(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(covlab.diagnostics, "eigsh", no_convergence)
+        A = random_symmetric(np.random.default_rng(3), 300)
+        log = []
+        assert spectral_norm(self._operator(A, log)) == float(np.max(np.abs(np.linalg.eigvalsh(A))))
+        assert log == ["dense"]
+
+    def test_operator_gets_four_times_the_restarts(self, monkeypatch):
+        # A truth keeps max(10, n // 160) restarts; an error operator, whose
+        # matvec is cheap, gets max(10, n // 40).
+        caps = []
+        real_eigsh = covlab.diagnostics.eigsh
+
+        def capped(A, **kwargs):
+            caps.append(kwargs["maxiter"])
+            return real_eigsh(A, **kwargs)
+
+        monkeypatch.setattr(covlab.diagnostics, "eigsh", capped)
+        C = discretize(SquaredExponential(0.1), build_grid(1, 1250))
+        spectral_norm(C, tol=1e-6)
+        operator_quantities(C, tol=1e-6)
+        spectral_norm(self._operator(C.entries, []), tol=1e-6)
+        assert caps == [10, 10, 31]
+
+
 def _planted_top(rng, n, top, cluster, gap, orthogonal_to_ones, bulk=0.5, mirrored=False):
     """Symmetric n x n matrix whose `cluster` largest-magnitude eigenvalues
     lie within relative `gap` of `top`; the rest lie in (-bulk, bulk) * |top|.

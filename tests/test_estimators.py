@@ -31,6 +31,17 @@ class TestTaperEstimate:
         out = taper_estimate(Chat, 1.0, g)
         np.testing.assert_array_equal(out.entries, Chat.entries)
 
+    @pytest.mark.parametrize("d, L", [(1, 6), (2, 4)])
+    def test_returns_its_input_when_every_weight_is_one(self, d, L):
+        # A radius at or above every coordinate gap (1.0 on the unit grid)
+        # makes every ramp weight exactly 1: the input comes back as it is.
+        g = build_grid(d, L)
+        A = np.random.default_rng(5).standard_normal((L**d, L**d))
+        Chat = _chat(A + A.T)
+        assert taper_estimate(Chat, 1.0, g) is Chat
+        below = taper_estimate(Chat, np.nextafter(1.0, 0.0), g)
+        assert below is not Chat and not np.array_equal(below.entries, Chat.entries)
+
     def test_collapses_to_diagonal_for_tiny_kappa(self):
         g = build_grid(1, 5)  # spacing 0.25
         Chat = _chat(np.ones((5, 5)))
@@ -101,6 +112,11 @@ class TestThresholdEstimate:
         np.testing.assert_array_equal(
             threshold_estimate(Chat, 0.0).entries, Chat.entries
         )
+
+    def test_zero_level_returns_its_input(self):
+        Chat = _chat([[1.0, -0.0], [-0.0, 1.0]])
+        assert threshold_estimate(Chat, 0.0) is Chat
+        assert threshold_estimate(Chat, -0.0) is Chat
 
     def test_level_above_max_zeroes_everything(self):
         Chat = _chat([[1.0, 0.2], [0.2, 1.0]])

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import covlab.diagnostics
 import covlab.experiments as expmod
@@ -426,7 +428,7 @@ class TestTridiagonalFormCells:
         monkeypatch.setattr(expmod, "lowrank_update_norm", counted_lowrank)
         assert run_sweep(cfg).ok
         assert len(args) == norms * cfg.trials and len(ranks) == lowranks * cfg.trials
-        assert all(isinstance(A, CovMatrix) for A in args)
+        assert all(isinstance(A, covlab.diagnostics._DifferenceOperator) for A in args)
 
     def test_rows_of_a_form_cell_round_trip(self, tmp_path):
         records = run_sweep(_cfg(lambda_grid=(_FORM_LAM,), L=_FORM_L)).records
@@ -438,6 +440,137 @@ class TestTridiagonalFormCells:
         cfg = _cfg(lambda_grid=(_FORM_LAM, _PLAIN_LAM), L=_FORM_L, trials=1)
         assert run_sweep(cfg).lowrank_cells == 1
         assert run_sweep(_cfg()).lowrank_cells == 0
+
+
+def _captured_operators(monkeypatch):
+    """Patch experiments.spectral_norm to record (operator, norm) pairs."""
+    seen = []
+    real = expmod.spectral_norm
+
+    def recording(A, tol):
+        seen.append((A, real(A, tol=tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(expmod, "spectral_norm", recording)
+    return seen
+
+
+# (kernel, lambda) per dimension; none of these truths keeps a form at
+# L=300 (d=1) or L=18 (d=2, n=324), so all three errors are operators.  The
+# periodic kernel of the Euclidean distance is not PSD at d=2 with period
+# 0.4 (its smallest eigenvalue here is -6.1), but is with period 2.
+_OPERATOR_CELLS = {
+    1: [KernelTemplate("se"), KernelTemplate("matern"), KernelTemplate("periodic"),
+        KernelTemplate("permuted")],
+    2: [KernelTemplate(name, nu_source="exp", period=2.0)
+        for name in ("se", "matern", "periodic", "permuted")],
+}
+_OPERATOR_LAM = {1: 0.05, 2: 0.1}
+_OPERATOR_L = {1: 300, 2: 18}
+
+
+class TestErrorOperators:
+    """Each error norm is taken of an operator, never of a formed est - truth."""
+
+    @staticmethod
+    def _trial(template, lam, d=1, L=_FORM_L, keep_matrices=True, trial=0):
+        cfg = _cfg(kernels=(template,), lambda_grid=(lam,), L=L, d=d)
+        prep = build_prep(cfg.kernels[0], lam, L, d, n_for_lambda(cfg, lam), cfg.norm_tol)
+        draw_seed, shuffle_seed = trial_seed(cfg, 0, 0, trial)
+        return prep, lambda: simulate_trial(prep, draw_seed, shuffle_seed, cfg.c0,
+                                            keep_matrices=keep_matrices)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cell", range(4), ids=["se", "matern", "periodic", "permuted"])
+    def test_matvec_and_norm_match_the_formed_difference(self, monkeypatch, d, cell):
+        prep, run = self._trial(_OPERATOR_CELLS[d][cell], _OPERATOR_LAM[d], d, _OPERATOR_L[d])
+        assert (prep.symbol is not None) == (d == 1) and prep.form is None
+        seen = _captured_operators(monkeypatch)
+        _, mats = run()
+        truth = mats["truth"].entries
+        rng = np.random.default_rng(11)
+        assert len(seen) == 3
+        for (op, norm), name in zip(seen, ("sample", "taper", "threshold")):
+            diff = mats[name].entries - truth
+            assert np.array_equal(op.dense(), diff)
+            for v in (rng.standard_normal(op.n), np.ones(op.n)):
+                want = diff @ v
+                assert np.linalg.norm(op.matvec(v) - want) <= 1e-13 * np.linalg.norm(want)
+            assert norm == pytest.approx(_dense_norm(diff), rel=1e-9)
+
+    def test_each_estimate_term_takes_its_route(self, monkeypatch):
+        # se at lambda 0.05, L=300: the Gram from the paths, the taper estimate
+        # (dense band) by its dense product, the threshold estimate as CSR.
+        prep, run = self._trial(KernelTemplate("se"), 0.05)
+        built = []
+        real = scipy.sparse.csr_array
+        monkeypatch.setattr(scipy.sparse, "csr_array", lambda e: built.append(e) or real(e))
+        _, mats = run()
+        assert len(built) == 1 and built[0] is mats["threshold"].entries
+        assert np.count_nonzero(mats["taper"].entries) > prep.C.n ** 2 // 8
+
+    @pytest.mark.parametrize("kernel", ["se", "permuted"])
+    def test_arpack_failure_falls_back_to_the_formed_difference(self, monkeypatch, kernel):
+        prep, run = self._trial(KernelTemplate(kernel), _PLAIN_LAM, keep_matrices=False)
+        shuffles = []
+        real_shuffle = expmod.shuffle_cov
+        monkeypatch.setattr(expmod, "shuffle_cov",
+                            lambda C, seed: shuffles.append(seed) or real_shuffle(C, seed))
+        record, _ = run()
+        assert shuffles == []  # a converged sweep trial never builds the shuffled truth
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(covlab.diagnostics, "eigsh", no_convergence)
+        fallen, _ = run()
+        assert len(shuffles) == (3 if kernel == "permuted" else 0)  # one per dense solve
+        monkeypatch.undo()
+        _, mats = self._trial(KernelTemplate(kernel), _PLAIN_LAM)[1]()
+        truth = mats["truth"].entries
+        for name, got, near in (("sample", fallen.err_sample, record.err_sample),
+                                ("taper", fallen.err_taper, record.err_taper),
+                                ("threshold", fallen.err_thresh, record.err_thresh)):
+            dense = _dense_norm(mats[name].entries - truth)
+            assert got * prep.norm == pytest.approx(dense, rel=1e-13)
+            assert near == pytest.approx(got, rel=1e-9)
+
+    def test_clustered_top_cells_need_no_dense_solve(self, monkeypatch):
+        # The figure cells where a formed threshold error made ARPACK give up:
+        # with the operator's own restart cap every error norm converges.
+        cells = [("se", 0.0033672295752114226), ("matern", 0.0033672295752114226),
+                 ("periodic", 0.01519911082952933)]
+        outcomes = []
+        real_eigsh = covlab.diagnostics.eigsh
+
+        def counted(A, **kwargs):
+            try:
+                out = real_eigsh(A, **kwargs)
+            except scipy.sparse.linalg.ArpackError:
+                outcomes.append("fallback")
+                raise
+            outcomes.append("converged")
+            return out
+
+        for kernel, lam in cells:
+            prep, run = self._trial(KernelTemplate(kernel), lam, L=1250, keep_matrices=False)
+            assert prep.form is None
+            monkeypatch.setattr(covlab.diagnostics, "eigsh", counted)
+            run()
+            monkeypatch.undo()
+        assert outcomes == ["converged"] * 3 * len(cells)
+
+    def test_a_permuted_sweep_never_builds_the_shuffled_truth(self, monkeypatch):
+        cfg = _cfg(kernels=(KernelTemplate("permuted"),), lambda_grid=(_PLAIN_LAM, 0.05),
+                   L=_FORM_L, trials=2)
+        want = run_sweep(cfg).records
+
+        def refuse(C, seed):
+            raise AssertionError("a sweep trial built the shuffled truth")
+
+        monkeypatch.setattr(expmod, "shuffle_cov", refuse)
+        result = run_sweep(cfg)
+        assert result.ok and result.records == want
 
 
 class _ActiveCounter:
